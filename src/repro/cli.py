@@ -54,9 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel", choices=("scalar", "vectorized"), default=None,
-        help="short-range kernel implementation: 'scalar' is the "
-        "bit-identity reference, 'vectorized' the batched fast path "
-        "(default: $REPRO_KERNEL or scalar)",
+        help="short-range kernel implementation: 'vectorized' is the "
+        "batched fast path, 'scalar' the bit-identity reference "
+        "(default: $REPRO_KERNEL or vectorized)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

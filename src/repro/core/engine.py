@@ -126,10 +126,10 @@ class EngineConfig:
     #: Worker count for the pool backend (None = ``REPRO_WORKERS`` or
     #: host CPU count).
     workers: int | None = None
-    #: Force-kernel implementation: "scalar" (reference loop) or
-    #: "vectorized" (batched panels, `repro.core.vectorized`); None
-    #: resolves ``REPRO_KERNEL``-or-scalar.  Bit-identical results —
-    #: only speed differs.
+    #: Force-kernel implementation: "vectorized" (pruned-lane panels,
+    #: `repro.core.vectorized`) or "scalar" (the reference loop); None
+    #: resolves ``REPRO_KERNEL``, else vectorized.  Bit-identical
+    #: results — only speed differs.
     kernel_impl: str | None = None
     #: Constraint solver (GROMACS' ``constraint-algorithm``): "auto"
     #: (SETTLE for pure water, SHAKE otherwise), "settle", "lincs", or

@@ -197,10 +197,11 @@ def run_kernel(
     """Execute one strategy (fast path): vectorised functional forces +
     trace-driven cost model.
 
-    ``impl`` picks the functional force evaluation (scalar reference vs
-    the panel-fed batch in `repro.core.vectorized`; None resolves
-    ``REPRO_KERNEL``-or-scalar).  Results are bit-identical either way —
-    the cost model never sees the difference.
+    ``impl`` picks the functional force evaluation (the pruned-lane
+    panels of `repro.core.vectorized` or the scalar reference; None
+    resolves ``REPRO_KERNEL``, else vectorized).  Results are
+    bit-identical either way — the cost model never sees the
+    difference.
 
     ``backend`` (DESIGN.md §9) fans the per-CPE trace analyses across
     worker processes by priming ``cache`` before the serial accumulation
@@ -758,9 +759,9 @@ def run_kernel_sequential(
     others fall back to `run_kernel`.  Returns the same counters the fast
     path derives from trace analysis, letting tests pin the two together.
 
-    ``impl`` selects the walk implementation (``"scalar"`` — the
-    reference loop — or ``"vectorized"``, the batched replay in
-    `repro.core.vectorized`; None resolves ``REPRO_KERNEL``-or-scalar).
+    ``impl`` selects the walk implementation (``"vectorized"``, the
+    batched replay in `repro.core.vectorized`, or ``"scalar"``, the
+    reference loop; None resolves ``REPRO_KERNEL``, else vectorized).
     Both produce identical results; only speed differs.
     """
     from repro.core.vectorized import resolve_kernel_impl

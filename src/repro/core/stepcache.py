@@ -185,6 +185,13 @@ class StepCache:
         self._state.clear()
         self.stats.invalidations += 1
 
+    def release_panels(self) -> None:
+        """Drop the lane panels of every pinned list and keep all other
+        entries — for owners whose positions never change, where the
+        cached short-range result answers every later call."""
+        for plist in self._plists.values():
+            plist.release_panels()
+
     def _pin(self, plist: ClusterPairList) -> int:
         key = id(plist)
         self._plists[key] = plist

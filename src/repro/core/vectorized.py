@@ -26,8 +26,9 @@ Bit-identity rests on a small set of float32 accumulation identities
 
 Implementation selection: ``resolve_kernel_impl`` honours an explicit
 argument first, then the ``REPRO_KERNEL`` environment variable, and
-defaults to ``"scalar"`` — the reference stays the default; the fast
-path is opt-in (engine/CLI: ``kernel_impl`` / ``--kernel``).
+defaults to ``"vectorized"``.  The scalar reference stays selectable
+(``REPRO_KERNEL=scalar``, engine/CLI ``kernel_impl`` / ``--kernel``) as
+the bit-identity oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from repro.md.forces import (
 from repro.md.nonbonded import (
     COULOMB_CONSTANT,
     NonbondedParams,
-    lj_shift_energy,
     pair_force_energy,
 )
 from repro.md.pairlist import CLUSTER_SIZE, ClusterPairList
@@ -61,8 +61,8 @@ from repro.trace.events import CAT_COMPUTE, TraceEvent
 
 KERNEL_IMPLS = ("scalar", "vectorized")
 
-#: Key under which per-list tile panels memoise on the pair list; popped
-#: by ``ClusterPairList.invalidate`` alongside the gather memo.
+#: Key under which the per-list lane panels memoise on the pair list;
+#: popped by ``ClusterPairList.invalidate`` alongside the gather memo.
 PANEL_CACHE_ATTR = "_panel_cache"
 
 
@@ -70,10 +70,11 @@ def resolve_kernel_impl(impl: str | None = None) -> str:
     """Resolve a kernel implementation name.
 
     Explicit argument wins; otherwise the ``REPRO_KERNEL`` environment
-    variable; otherwise ``"scalar"`` (the bit-identity reference).
+    variable; otherwise ``"vectorized"`` (``"scalar"`` selects the
+    bit-identity reference).
     """
     if impl is None:
-        impl = os.environ.get("REPRO_KERNEL", "").strip() or "scalar"
+        impl = os.environ.get("REPRO_KERNEL", "").strip() or "vectorized"
     impl = str(impl).lower()
     if impl not in KERNEL_IMPLS:
         raise ValueError(
@@ -211,213 +212,159 @@ def walk_fidelity_partition_vectorized(task):
 
 
 # ---------------------------------------------------------------------------
-# Per-step short-range evaluation with cached tile panels.
+# Per-step short-range evaluation over pruned lanes.
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class TilePanels:
-    """Step-invariant tile quantities of one pair list.
-
-    Everything here depends only on list topology and per-particle
-    constants (charges, types, molecule ids), never on positions — so it
-    is computed once per pair-list rebuild and reused every step until
-    ``ClusterPairList.invalidate`` drops it.
-    """
-
-    ci: np.ndarray  # (M,) int64 i-cluster of each pair
-    cj: np.ndarray  # (M,) int64 j-cluster of each pair
-    valid: np.ndarray  # (M, 4, 4) bool interaction mask
-    qq: np.ndarray  # (M, 4, 4) charge products, short-range dtype
-    c6: np.ndarray  # (M, 4, 4) LJ C6, short-range dtype
-    c12: np.ndarray  # (M, 4, 4) LJ C12, short-range dtype
-    scatter_idx: np.ndarray  # flat slot targets: [i-slots] (+ [j-slots] if half)
-
-
-def tile_panels(
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    dtype: type = np.float64,
-    reuse: bool = True,
-) -> TilePanels:
-    """Build (or fetch memoised) step-invariant panels for ``plist``.
-
-    The panel arrays are produced by the exact expressions
-    `compute_short_range` evaluates per step, so a panel-fed evaluation
-    sees identical operands.  ``reuse=False`` (the step-reuse ablation)
-    rebuilds them on every call and stores nothing.
-    """
-    key = np.dtype(dtype).str
-    cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and key in cache:
-        return cache[key]
-    ci = plist.pair_ci.astype(np.int64)
-    cj = plist.pair_cj.astype(np.int64)
-    slot_i, slot_j = tile_indices(ci, cj)
-    if reuse:
-        q = plist.gather_cached(system.charges, dtype=dtype)
-        types = plist.gather_cached(
-            system.topology.type_ids, fill=0, dtype=np.int64
-        )
-        mol = plist.gather_cached(
-            system.topology.mol_ids, fill=-1, dtype=np.int64
-        )
-    else:
-        q = plist.gather(system.charges).astype(dtype)
-        types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
-        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
-    valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol)
-    qq = q[slot_i] * q[slot_j]
-    ti, tj = types[slot_i], types[slot_j]
-    c6_tab = system.topology.c6_table.astype(dtype)
-    c12_tab = system.topology.c12_table.astype(dtype)
-    flat_i = slot_i.reshape(-1)
-    flat_j = slot_j.reshape(-1)
-    panels = TilePanels(
-        ci=ci,
-        cj=cj,
-        valid=valid,
-        qq=qq,
-        c6=c6_tab[ti, tj],
-        c12=c12_tab[ti, tj],
-        scatter_idx=(
-            np.concatenate([flat_i, flat_j]) if plist.half else flat_i
-        ),
-    )
-    if cache is not None:
-        cache[key] = panels
-    return panels
-
-
 #: Prune radius margin (nm) beyond ``r_cut`` for the compacted lane
-#: set.  Wider keeps more lanes (slower steps, fewer refreshes);
-#: narrower keeps fewer lanes but trips the drift guard sooner.  At
-#: water-at-300K drift rates (~0.01 nm/step worst particle) 0.20 nm
-#: lets one panel survive a whole ``nstlist`` cycle, which profiles
-#: faster end to end than a tighter set re-anchored every few steps.
-#: The keep radius may exceed ``r_list``: correctness only needs the
-#: kept set to be a superset of every lane that can come inside
-#: ``r_cut`` before the guard re-anchors.
+#: set.  Wider keeps more lanes (slower steps, fewer re-anchors);
+#: narrower keeps fewer lanes but trips the drift guard sooner.  On the
+#: 1500-water benchmark at 300 K (~0.01 nm/step worst particle) the
+#: guard re-anchors about once per 10-step ``nstlist`` interval.  The
+#: keep radius may exceed ``r_list``: correctness only needs the kept
+#: set to be a superset of every lane that can come inside ``r_cut``
+#: before the guard re-anchors.
 PRUNE_MARGIN = 0.20
 
+#: Lanes per block of the elementwise passes (the anchor scan, the PBC
+#: fold and the pair kernel).  Their temporaries are sized to one block
+#: rather than to every kept lane; block boundaries never change a
+#: result, since every operation in those passes is elementwise.
+LANE_BLOCK = 16384
 
-@dataclass
-class LaneStatics:
-    """Topology-only flat lane view of one pair list (cached).
 
-    One entry per *topology-valid* tile lane, flattened: slot indices,
-    pair constants and the lane's position inside the full ``(M, 4, 4)``
-    tile block (for scattering back into full-lane-shape accumulators).
-    Nothing here depends on positions, so the drift-guard refresh reuses
-    it wholesale and only redoes the positional scan.  The trailing
-    arrays are refresh scratch, sized to the valid-lane count so a
-    re-anchor allocates nothing large.
+def valid_lanes(
+    system: ParticleSystem, plist: ClusterPairList, reuse: bool = True
+) -> np.ndarray:
+    """Flat full-lane index (int32) of every topology-valid tile lane.
+
+    The lanes the reference mask (`tile_validity`) keeps, as positions
+    in the flattened ``(M, 4, 4)`` tile block; slot pairs and pair
+    constants are derived from them on demand (:func:`_lane_slots`).
+    Nothing here depends on positions, so a drift-guard re-anchor reuses
+    it and only redoes the positional scan.  Memoised on the list.
     """
-
-    lane_pos: np.ndarray  # (V,) flat full-lane index of each valid lane
-    vi: np.ndarray  # (V,) i-slot of each valid lane
-    vj: np.ndarray  # (V,) j-slot
-    qq: np.ndarray  # (V,) charge products, short-range dtype
-    c6: np.ndarray
-    c12: np.ndarray
-    n_lanes: int  # full lane count, M * 16
-    gx: np.ndarray = field(repr=False, default=None)
-    gy: np.ndarray = field(repr=False, default=None)
-    gz: np.ndarray = field(repr=False, default=None)
-    gt: np.ndarray = field(repr=False, default=None)
-    sx: np.ndarray = field(repr=False, default=None)
-    sy: np.ndarray = field(repr=False, default=None)
-    sz: np.ndarray = field(repr=False, default=None)
-    r2: np.ndarray = field(repr=False, default=None)
-
-
-def lane_statics(
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    dtype: type = np.float64,
-    reuse: bool = True,
-) -> LaneStatics:
-    """Build (or fetch memoised) the flat valid-lane topology view.
-
-    The pair constants are the exact values the reference tile panels
-    carry — gathering to valid lanes before the product is elementwise,
-    so operands are bit-identical either way.
-    """
-    key = ("lanestatic", np.dtype(dtype).str)
     cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and key in cache:
-        return cache[key]
+    if cache is not None and "lanes" in cache:
+        return cache["lanes"]
     ci = plist.pair_ci.astype(np.int64)
     cj = plist.pair_cj.astype(np.int64)
     slot_i, slot_j = tile_indices(ci, cj)
-    if reuse:
-        q = plist.gather_cached(system.charges, dtype=dtype)
-        types = plist.gather_cached(
-            system.topology.type_ids, fill=0, dtype=np.int64
-        )
-        mol = plist.gather_cached(
-            system.topology.mol_ids, fill=-1, dtype=np.int64
-        )
-    else:
-        q = plist.gather(system.charges).astype(dtype)
-        types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
-        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
+    mol = _gathered(plist, system.topology.mol_ids, np.int64, reuse, fill=-1)
     valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol)
-    lane_pos = np.flatnonzero(valid.reshape(-1))
-    vi = np.ascontiguousarray(slot_i.reshape(-1)[lane_pos])
-    vj = np.ascontiguousarray(slot_j.reshape(-1)[lane_pos])
-    ti, tj = types[vi], types[vj]
-    c6_tab = system.topology.c6_table.astype(dtype)
-    c12_tab = system.topology.c12_table.astype(dtype)
-    n_valid = len(lane_pos)
-    ls = LaneStatics(
-        lane_pos=lane_pos,
-        vi=vi,
-        vj=vj,
-        qq=q[vi] * q[vj],
-        c6=c6_tab[ti, tj],
-        c12=c12_tab[ti, tj],
-        n_lanes=valid.size,
-        gx=np.empty(n_valid, dtype=dtype),
-        gy=np.empty(n_valid, dtype=dtype),
-        gz=np.empty(n_valid, dtype=dtype),
-        gt=np.empty(n_valid, dtype=dtype),
-        sx=np.empty(n_valid, dtype=dtype),
-        sy=np.empty(n_valid, dtype=dtype),
-        sz=np.empty(n_valid, dtype=dtype),
-        r2=np.empty(n_valid, dtype=dtype),
-    )
+    lanes = np.flatnonzero(valid.reshape(-1)).astype(np.int32)
     if cache is not None:
-        cache[key] = ls
-    return ls
+        cache["lanes"] = lanes
+    return lanes
+
+
+def _gathered(
+    plist: ClusterPairList,
+    values: np.ndarray,
+    dtype: type,
+    reuse: bool,
+    fill: float = 0.0,
+) -> np.ndarray:
+    """Sorted-slot copy of a step-invariant per-particle array, memoised
+    on the list when ``reuse`` (the gathers `compute_short_range`
+    makes)."""
+    if reuse:
+        return plist.gather_cached(values, fill=fill, dtype=dtype)
+    return plist.gather(values, fill=fill).astype(dtype)
+
+
+def _lane_slots(
+    plist: ClusterPairList, lanes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(slot_i, slot_j)`` of flat tile lanes — `tile_indices`' layout
+    inverted: lane ``m*16 + a*4 + b`` pairs slot ``4*ci[m] + a`` with
+    slot ``4*cj[m] + b``."""
+    tile, ab = np.divmod(lanes, CLUSTER_SIZE * CLUSTER_SIZE)
+    a, b = np.divmod(ab, CLUSTER_SIZE)
+    return (
+        plist.pair_ci[tile] * CLUSTER_SIZE + a,
+        plist.pair_cj[tile] * CLUSTER_SIZE + b,
+    )
+
+
+class _Scratch:
+    """Temporaries of one lane block, allocated per call."""
+
+    def __init__(self, n: int, dtype) -> None:
+        self.d = np.empty((3, n), dtype=dtype)  # dr components
+        self.r2 = np.empty(n, dtype=dtype)
+        self.t = np.empty((10, n), dtype=dtype)  # pair-kernel temporaries
+        self.mask = np.empty((2, n), dtype=bool)
+        self.w = np.empty(n, dtype=np.float64)
+
+
+def _fold(
+    pcols: np.ndarray,
+    box_arr: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    s: _Scratch,
+    shift: np.ndarray | None = None,
+) -> np.ndarray:
+    """Minimum-image ``dr`` of lanes ``(ii, jj)`` into ``s.d``; returns
+    ``r2``.
+
+    The reference fold's elementwise operations in its order, one
+    position column at a time.  ``shift`` (3, n) replaces the rounding
+    by stored anchor shifts (see `CompactPanels`).  ``r2`` accumulates
+    ``x*x + y*y + z*z`` left to right, as ``np.sum`` over a 3-element
+    axis does.
+    """
+    n = len(ii)
+    t = s.t[0, :n]
+    for c in range(3):
+        dc = s.d[c, :n]
+        np.take(pcols[c], ii, out=dc, mode="clip")
+        np.take(pcols[c], jj, out=t, mode="clip")
+        dc -= t
+        if shift is not None:
+            dc -= shift[c]
+        else:
+            np.divide(dc, box_arr[c], out=t)
+            np.round(t, out=t)
+            t *= box_arr[c]
+            dc -= t
+    r2 = s.r2[:n]
+    np.multiply(s.d[0, :n], s.d[0, :n], out=r2)
+    np.multiply(s.d[1, :n], s.d[1, :n], out=t)
+    r2 += t
+    np.multiply(s.d[2, :n], s.d[2, :n], out=t)
+    r2 += t
+    return r2
 
 
 @dataclass
 class CompactPanels:
     """Flattened, pruned lane data for the per-step fast path.
 
-    Built once per pair-list rebuild (or after a drift-guard refresh):
-    lanes are the tile entries that are topology-valid *and* within
-    ``r_keep = r_cut + PRUNE_MARGIN`` of each other at
+    Anchored once per pair-list rebuild (and again after each drift-guard
+    re-anchor): lanes are the tile entries that are topology-valid *and*
+    within ``r_keep = r_cut + PRUNE_MARGIN`` of each other at
     ``anchor_pos``.  A pruned lane can only contribute an exact zero in
     the reference evaluation, so dropping it never changes a sum (the
     one invisible exception: a slot whose every contribution is a
     signed zero may flip zero sign, which ``==``/``np.array_equal``
     cannot observe and the integrator cannot propagate).
 
-    ``shift_x/y/z`` hold ``box * round(dr/box)`` per kept lane when the
-    static-shift precondition holds (``2*r_keep - r_cut`` under half
-    the smallest box edge): while the drift guard passes, no kept
-    lane's minimum image can reach half a box edge, so the rounding in
-    the reference PBC fold is reproduced exactly by the stored shift.
+    ``bufs["shift"]`` holds ``box * round(dr/box)`` per kept lane when
+    the static-shift precondition holds (``2*r_keep - r_cut`` under half
+    the smallest box edge): while the drift guard passes, no kept lane's
+    minimum image can reach half a box edge, so the rounding in the
+    reference PBC fold is reproduced exactly by the stored shift.
     """
 
-    #: Capacity-padded buffer pool: every kept-lane array lives in
-    #: ``bufs`` at capacity ``cap`` and is consumed as a ``[:n_kept]``
-    #: view, so a drift-guard re-anchor refills in place (a few
-    #: ``np.take`` passes) instead of reallocating ~25 multi-MB arrays —
-    #: large numpy frees go straight back to the OS, so reallocation
-    #: costs a page-fault storm every refresh.
+    #: Kept-lane arrays at capacity ``cap``, consumed as ``[:n_kept]``
+    #: views, so a re-anchor refills in place instead of reallocating
+    #: (large numpy frees go straight back to the OS, so reallocation
+    #: costs a page-fault storm every refresh).  Per kept lane: the i/j
+    #: slots (int64, they feed ``np.bincount``), the full-lane position
+    #: (int32), the pair constants and hoisted products, the static
+    #: shifts, the force components, and one float64 weight buffer
+    #: shared by x, y and z.
     bufs: dict = field(repr=False)
     cap: int
     n_kept: int
@@ -426,17 +373,11 @@ class CompactPanels:
     f_sorted: np.ndarray = field(repr=False)
     anchor_pos: np.ndarray = field(repr=False)
     r_keep: float
-    n_lanes: int
     half: bool
     static_shift: bool
     has_shift_e: bool
 
-    # Named views for inspection and tests; the hot path slices ``bufs``
-    # directly.
-    @property
-    def lane_sel(self) -> np.ndarray:
-        return self.bufs["lane_sel"][: self.n_kept]
-
+    # Named views for tests; the hot path slices ``bufs`` directly.
     @property
     def idx_i(self) -> np.ndarray:
         return self.bufs["sidx"][: self.n_kept]
@@ -446,15 +387,6 @@ class CompactPanels:
         return self.bufs["sidx"][self.n_kept : 2 * self.n_kept]
 
     @property
-    def scatter_idx(self) -> np.ndarray:
-        n = 2 * self.n_kept if self.half else self.n_kept
-        return self.bufs["sidx"][:n]
-
-    @property
-    def qq(self) -> np.ndarray:
-        return self.bufs["qq"][: self.n_kept]
-
-    @property
     def c6(self) -> np.ndarray:
         return self.bufs["c6"][: self.n_kept]
 
@@ -462,150 +394,111 @@ class CompactPanels:
     def c12(self) -> np.ndarray:
         return self.bufs["c12"][: self.n_kept]
 
-    @property
-    def shift_e(self) -> np.ndarray | None:
-        return self.bufs["se"][: self.n_kept] if self.has_shift_e else None
 
-
-_COMPACT_DTYPE_BUFS = (
-    "qq",
-    "c6",
-    "c12",
-    "fqq",
-    "c6_6",
-    "c12_12",
-    "se",
-    "sx",
-    "sy",
-    "sz",
-    "dx",
-    "dy",
-    "dz",
-    "dtmp",
-    "r2b",
-    "ftmp",
-)
-
-
-def _alloc_compact_bufs(half: bool, dtype, cap: int) -> dict:
-    nw = 2 * cap if half else cap
+def _alloc_compact_bufs(cp: CompactPanels, dtype, cap: int) -> dict:
     bufs = {
         "sidx": np.empty(2 * cap, dtype=np.int64),
-        "lane_sel": np.empty(cap, dtype=np.int64),
-        "wtmp": np.empty(cap, dtype=np.float64),
-        "wb": [np.empty(nw, dtype=np.float64) for _ in range(3)],
-        "tb": [np.empty(cap, dtype=dtype) for _ in range(10)],
-        "mb": [np.empty(cap, dtype=bool) for _ in range(2)],
+        "lane_sel": np.empty(cap, dtype=np.int32),
+        "fvec": np.empty((3, cap), dtype=dtype),
+        "wb": np.empty(2 * cap if cp.half else cap, dtype=np.float64),
     }
-    for name in _COMPACT_DTYPE_BUFS:
+    names = ["fqq", "c6", "c12", "c6_6", "c12_12"]
+    if cp.has_shift_e:
+        names.append("se")
+    for name in names:
         bufs[name] = np.empty(cap, dtype=dtype)
+    if cp.static_shift:
+        bufs["shift"] = np.empty((3, cap), dtype=dtype)
     return bufs
 
 
-def _refill_compact(
-    prev: CompactPanels | None,
+def _anchor(
+    cp: CompactPanels,
     system: ParticleSystem,
     plist: ClusterPairList,
     params: NonbondedParams,
-    dtype: type,
+    pos: np.ndarray,
     reuse: bool,
-) -> CompactPanels:
-    """Anchor (or re-anchor) compact panels at the current positions.
+) -> None:
+    """Anchor (or re-anchor) ``cp`` at ``pos``, in place.
 
-    When ``prev`` has enough capacity its buffers are refilled in place
-    and the same object is returned; otherwise a fresh panel set is
-    allocated with some slack for future refreshes.
+    Scans the valid lanes block by block for those within ``r_keep``,
+    then refills the kept-lane buffers.  When the kept set outgrows the
+    capacity, the old buffers are released before the larger set is
+    allocated, so a growth never holds two sets at once.
     """
-    dt = np.dtype(dtype).type
-    ls = lane_statics(system, plist, dtype=dtype, reuse=reuse)
-    pos = plist.current_positions(system).astype(dtype)
+    dtype = pos.dtype
+    dt = dtype.type
+    lanes = valid_lanes(system, plist, reuse)
     pcols = np.ascontiguousarray(pos.T)
     box_arr = plist.box.array.astype(dtype)
+    block = max(1, min(LANE_BLOCK, len(lanes)))
+    s = _Scratch(block, dtype)
 
-    # Columnwise anchor scan: dr components, PBC shifts and r2 for every
-    # valid lane, written into the cached scratch (same elementwise ops
-    # as the reference fold, associated identically).
-    for c, (gc, sc) in enumerate(
-        zip((ls.gx, ls.gy, ls.gz), (ls.sx, ls.sy, ls.sz))
-    ):
-        np.take(pcols[c], ls.vi, out=gc, mode="clip")
-        np.take(pcols[c], ls.vj, out=ls.gt, mode="clip")
-        gc -= ls.gt
-        np.divide(gc, box_arr[c], out=ls.gt)
-        np.round(ls.gt, out=sc)
-        sc *= box_arr[c]
-        gc -= sc
-    r2 = ls.r2
-    np.multiply(ls.gx, ls.gx, out=r2)
-    np.multiply(ls.gy, ls.gy, out=ls.gt)
-    r2 += ls.gt
-    np.multiply(ls.gz, ls.gz, out=ls.gt)
-    r2 += ls.gt
-
-    r_keep = params.r_cut + PRUNE_MARGIN
-    sel = np.flatnonzero(r2 < dt(r_keep) ** 2)
+    keep2 = dt(cp.r_keep) ** 2
+    pieces = []
+    for lo in range(0, len(lanes), block):
+        vi, vj = _lane_slots(plist, lanes[lo : lo + block])
+        r2 = _fold(pcols, box_arr, vi, vj, s)
+        pieces.append(np.flatnonzero(r2 < keep2).astype(np.int32) + np.int32(lo))
+    sel = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int32)
+    del pieces
     k = len(sel)
 
-    # Static PBC shifts are only safe when the worst-case kept-lane
-    # separation (anchor distance < r_keep plus guarded drift
-    # < r_keep - r_cut) stays under half the smallest box edge.
-    min_box = float(box_arr.min())
-    static_shift = 2.0 * r_keep - params.r_cut < 0.5 * min_box - 1e-9
+    if not cp.bufs or k > cp.cap:
+        cp.bufs = {}
+        cp.cap = k + (k >> 4) + 1024
+        cp.bufs = _alloc_compact_bufs(cp, dtype, cp.cap)
+    cp.n_kept = k
+    cp.e_full.fill(0.0)
+    cp.w_full.fill(0.0)
+    np.copyto(cp.anchor_pos, pos)
 
-    if prev is not None and prev.cap >= k and prev.n_lanes == ls.n_lanes:
-        cp = prev
-        cp.n_kept = k
-        cp.r_keep = r_keep
-        cp.e_full.fill(0.0)
-        cp.w_full.fill(0.0)
-        np.copyto(cp.anchor_pos, pos)
-    else:
-        cap = k + (k >> 4) + 1024
-        cp = CompactPanels(
-            bufs=_alloc_compact_bufs(plist.half, dtype, cap),
-            cap=cap,
-            n_kept=k,
-            e_full=np.zeros(ls.n_lanes, dtype=dtype),
-            w_full=np.zeros(ls.n_lanes, dtype=np.float64),
-            f_sorted=np.empty((plist.n_slots, 3), dtype=np.float64),
-            anchor_pos=pos.copy(),
-            r_keep=r_keep,
-            n_lanes=ls.n_lanes,
-            half=plist.half,
-            static_shift=static_shift,
-            has_shift_e=params.shift_lj,
-        )
-    cp.static_shift = static_shift
-    cp.has_shift_e = params.shift_lj
+    q = _gathered(plist, system.charges, dtype, reuse)
+    types = _gathered(plist, system.topology.type_ids, np.int64, reuse)
+    c6_tab = system.topology.c6_table.astype(dtype)
+    c12_tab = system.topology.c12_table.astype(dtype)
+    inv6 = (1.0 / params.r_cut) ** 6
     b = cp.bufs
-
-    np.take(ls.lane_pos, sel, out=b["lane_sel"][:k])
-    np.take(ls.vi, sel, out=b["sidx"][:k])
-    np.take(ls.vj, sel, out=b["sidx"][k : 2 * k])
-    np.take(ls.qq, sel, out=b["qq"][:k])
-    np.take(ls.c6, sel, out=b["c6"][:k])
-    np.take(ls.c12, sel, out=b["c12"][:k])
-    qq, c6, c12 = b["qq"][:k], b["c6"][:k], b["c12"][:k]
-    # Step-invariant products hoisted out of the pair kernel (products
-    # commute bit for bit with the reference's in-kernel order):
-    # ``felec*qq``, ``6*c6``, ``12*c12`` and the LJ shift constant.
-    np.multiply(qq, dt(COULOMB_CONSTANT), out=b["fqq"][:k])
-    np.multiply(c6, dt(6.0), out=b["c6_6"][:k])
-    np.multiply(c12, dt(12.0), out=b["c12_12"][:k])
-    if params.shift_lj:
-        # lj_shift_energy, in place: ((c12*inv6)*inv6) - (c6*inv6).
-        inv6 = (1.0 / params.r_cut) ** 6
-        se = b["se"][:k]
-        np.multiply(c12, inv6, out=se)
-        se *= inv6
-        t = b["tb"][0][:k]
-        np.multiply(c6, inv6, out=t)
-        se -= t
-    if static_shift:
-        np.take(ls.sx, sel, out=b["sx"][:k])
-        np.take(ls.sy, sel, out=b["sy"][:k])
-        np.take(ls.sz, sel, out=b["sz"][:k])
-    return cp
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        kept = lanes[sel[lo:hi]]
+        b["lane_sel"][lo:hi] = kept
+        vi, vj = _lane_slots(plist, kept)
+        b["sidx"][lo:hi] = vi
+        b["sidx"][k + lo : k + hi] = vj
+        # Pair constants, exactly as the reference tiles form them
+        # (elementwise, so gathering to kept lanes first is exact), and
+        # the step-invariant products hoisted out of the pair kernel
+        # (they commute bit for bit with its in-kernel order): felec*qq,
+        # 6*c6, 12*c12 and the LJ shift constant.
+        fqq = b["fqq"][lo:hi]
+        np.multiply(q[vi], q[vj], out=fqq)
+        fqq *= dt(COULOMB_CONSTANT)
+        ti, tj = types[vi], types[vj]
+        c6, c12 = b["c6"][lo:hi], b["c12"][lo:hi]
+        c6[...] = c6_tab[ti, tj]
+        c12[...] = c12_tab[ti, tj]
+        np.multiply(c6, dt(6.0), out=b["c6_6"][lo:hi])
+        np.multiply(c12, dt(12.0), out=b["c12_12"][lo:hi])
+        if cp.has_shift_e:
+            # lj_shift_energy, in place: ((c12*inv6)*inv6) - (c6*inv6).
+            se = b["se"][lo:hi]
+            np.multiply(c12, inv6, out=se)
+            se *= inv6
+            t = s.t[0, : hi - lo]
+            np.multiply(c6, inv6, out=t)
+            se -= t
+        if cp.static_shift:
+            t = s.t[0, : hi - lo]
+            for c in range(3):
+                sh = b["shift"][c, lo:hi]
+                np.take(pcols[c], vi, out=sh, mode="clip")
+                np.take(pcols[c], vj, out=t, mode="clip")
+                sh -= t
+                sh /= box_arr[c]
+                np.round(sh, out=sh)
+                sh *= box_arr[c]
 
 
 def compact_panels(
@@ -617,46 +510,71 @@ def compact_panels(
 ) -> CompactPanels:
     """Build (or fetch memoised) pruned lane panels for ``plist``.
 
-    The memo lives next to the tile panels on the pair list (popped by
-    ``invalidate``); the key includes dtype and the nonbonded
-    parameters, so different cutoffs never share a lane set.  The
-    positional scan runs columnwise over the cached valid-lane view —
-    no ``(M, 4, 4, 3)`` broadcast — so a drift-guard re-anchor costs a
-    few streaming passes, not a full tile rebuild.
+    The memo lives on the pair list (popped by ``invalidate``); the key
+    includes dtype and the nonbonded parameters, so different cutoffs
+    never share a lane set.  The anchor scan runs block by block over
+    the cached valid lanes — no ``(M, 4, 4, 3)`` broadcast — so a
+    drift-guard re-anchor costs a few streaming passes, not a tile
+    rebuild.
     """
     key = ("compact", np.dtype(dtype).str, params)
     cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
     if cache is not None and key in cache:
         return cache[key]
-    cp = _refill_compact(None, system, plist, params, dtype, reuse)
+    pos = plist.current_positions(system).astype(dtype)
+    r_keep = params.r_cut + PRUNE_MARGIN
+    n_lanes = plist.n_cluster_pairs * CLUSTER_SIZE * CLUSTER_SIZE
+    # Static PBC shifts are only safe when the worst-case kept-lane
+    # separation (anchor distance < r_keep plus guarded drift
+    # < r_keep - r_cut) stays under half the smallest box edge.
+    min_box = float(plist.box.array.astype(dtype).min())
+    cp = CompactPanels(
+        bufs={},
+        cap=0,
+        n_kept=0,
+        e_full=np.zeros(n_lanes, dtype=dtype),
+        w_full=np.zeros(n_lanes, dtype=np.float64),
+        f_sorted=np.empty((plist.n_slots, 3), dtype=np.float64),
+        anchor_pos=np.empty_like(pos),
+        r_keep=r_keep,
+        half=plist.half,
+        static_shift=2.0 * r_keep - params.r_cut < 0.5 * min_box - 1e-9,
+        has_shift_e=params.shift_lj,
+    )
+    _anchor(cp, system, plist, params, pos, reuse)
     if cache is not None:
         cache[key] = cp
     return cp
 
 
 def _pair_terms_compact(
-    r2: np.ndarray, cp: CompactPanels, params: NonbondedParams
+    r2: np.ndarray,
+    cp: CompactPanels,
+    lo: int,
+    s: _Scratch,
+    params: NonbondedParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`pair_force_energy` over pruned lanes, fused in place.
+    """`pair_force_energy` over kept lanes ``lo:lo+len(r2)``, in place.
 
     Performs the same floating-point operations in the same association
     order as :func:`repro.md.nonbonded.pair_force_energy` with an
     all-true mask (compact lanes are topology-valid by construction),
     with the step-invariant factors (``felec*qq``, ``6*c6``, ``12*c12``,
     the LJ shift) taken pre-multiplied from the panels — products that
-    commute bit-for-bit.  Outputs are bitwise equal to the reference
-    lane for lane (test-enforced on random inputs for every coulomb
-    mode).
+    commute bit-for-bit.  Outputs are views into the scratch ``s`` and
+    bitwise equal to the reference lane for lane (test-enforced on
+    random inputs for every coulomb mode).
     """
     dt = r2.dtype.type
-    k = cp.n_kept
+    n = len(r2)
+    hi = lo + n
     b = cp.bufs
-    mask, nmask = (m[:k] for m in b["mb"])
+    mask, nmask = s.mask[0, :n], s.mask[1, :n]
     safe_r2, inv_r2, inv_r6, e_lj, f_lj, t6, t7, t8, t9, t10 = (
-        a[:k] for a in b["tb"]
+        t[:n] for t in s.t
     )
-    c6, c12 = b["c6"][:k], b["c12"][:k]
-    fqq, c6_6, c12_12 = b["fqq"][:k], b["c6_6"][:k], b["c12_12"][:k]
+    c6, c12 = b["c6"][lo:hi], b["c12"][lo:hi]
+    fqq, c6_6, c12_12 = b["fqq"][lo:hi], b["c6_6"][lo:hi], b["c12_12"][lo:hi]
 
     np.less(r2, dt(params.r_cut) ** 2, out=mask)
     np.greater(r2, dt(0.0), out=nmask)
@@ -673,7 +591,7 @@ def _pair_terms_compact(
     np.multiply(c6, inv_r6, out=t6)
     e_lj -= t6
     if cp.has_shift_e:
-        e_lj -= b["se"][:k]
+        e_lj -= b["se"][lo:hi]
     np.multiply(c12_12, inv_r6, out=f_lj)
     f_lj *= inv_r6
     np.multiply(c6_6, inv_r6, out=t6)
@@ -750,11 +668,11 @@ def compute_short_range_vectorized(
     Once per rebuild the 4x4 tiles are flattened to the lanes that are
     topology-valid and within ``r_keep`` (:func:`compact_panels`); per
     step only gathers, one PBC fold, ``r2``, the pair kernel and the
-    force scatter run — roughly ``0.4x`` the lanes and a third of the
-    numpy passes of the full tile batch.  A drift guard re-anchors the
-    panels whenever a particle has moved far enough that a pruned lane
-    could re-enter the cutoff (or a static shift could flip), so results
-    stay exact for arbitrary motion, not just small MD steps.
+    force scatter run, block by block over the kept lanes.  A drift
+    guard re-anchors the panels whenever a particle has moved far
+    enough that a pruned lane could re-enter the cutoff (or a static
+    shift could flip), so results stay exact for arbitrary motion, not
+    just small MD steps.
 
     The force scatter uses one ``np.bincount`` per component over the
     concatenated i/j slot indices, which reproduces the reference's two
@@ -765,9 +683,10 @@ def compute_short_range_vectorized(
     before the float64 sums so the pairwise reduction tree matches the
     reference's exactly.
 
-    Lists larger than one chunk fall back to the chunked reference —
-    chunk boundaries interleave the accumulation grouping, and no bench
-    system comes close to ``chunk_pairs`` pairs.
+    Lists larger than one chunk fall back to the chunked reference:
+    chunk boundaries interleave the accumulation grouping.  Large
+    systems do reach it (a 3000-particle water or ionic box has about
+    70,000 cluster pairs at ``r_list`` 1.0).
     """
     m_total = plist.n_cluster_pairs
     if m_total > chunk_pairs:
@@ -788,61 +707,39 @@ def compute_short_range_vectorized(
         # A pruned lane may have drifted inside the cutoff (or a static
         # shift may no longer round the same way): re-anchor the panels
         # at the current positions.
-        # Refill in place: the capacity-padded buffers absorb the new
-        # lane set without reallocating (page-fault storms otherwise
-        # dominate the refresh cost).
-        cp = _refill_compact(cp, system, plist, params, dtype, reuse_gathers)
-        if reuse_gathers:
-            plist.__dict__.setdefault(PANEL_CACHE_ATTR, {})[
-                ("compact", np.dtype(dtype).str, params)
-            ] = cp
+        _anchor(cp, system, plist, params, pos, reuse_gathers)
 
     k = cp.n_kept
     b = cp.bufs
-    idx_i = b["sidx"][:k]
-    idx_j = b["sidx"][k : 2 * k]
-    lane_sel = b["lane_sel"][:k]
-    dtmp = b["dtmp"][:k]
+    sidx = b["sidx"]
     pcols = np.ascontiguousarray(pos.T)
-    d = (b["dx"][:k], b["dy"][:k], b["dz"][:k])
-    shifts = (b["sx"][:k], b["sy"][:k], b["sz"][:k])
-    for c in range(3):
-        dc = d[c]
-        np.take(pcols[c], idx_i, out=dc, mode="clip")
-        np.take(pcols[c], idx_j, out=dtmp, mode="clip")
-        dc -= dtmp
-        if cp.static_shift:
-            dc -= shifts[c]
-        else:
-            np.divide(dc, box_arr[c], out=dtmp)
-            np.round(dtmp, out=dtmp)
-            dtmp *= box_arr[c]
-            dc -= dtmp
-    r2 = b["r2b"][:k]
-    np.multiply(d[0], d[0], out=r2)
-    np.multiply(d[1], d[1], out=dtmp)
-    r2 += dtmp
-    np.multiply(d[2], d[2], out=dtmp)
-    r2 += dtmp
-
-    f_scalar, e = _pair_terms_compact(r2, cp, params)
-    n_in_cutoff = int(np.count_nonzero(f_scalar))
-    cp.e_full[lane_sel] = e
+    block = max(1, min(LANE_BLOCK, k))
+    s = _Scratch(block, dtype)
+    n_in_cutoff = 0
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        r2 = _fold(
+            pcols, box_arr, sidx[lo:hi], sidx[k + lo : k + hi], s,
+            b["shift"][:, lo:hi] if cp.static_shift else None,
+        )
+        f_scalar, e = _pair_terms_compact(r2, cp, lo, s, params)
+        n_in_cutoff += int(np.count_nonzero(f_scalar))
+        lane_sel = b["lane_sel"][lo:hi]
+        cp.e_full[lane_sel] = e
+        w = s.w[: hi - lo]
+        np.multiply(f_scalar, r2, out=w, dtype=np.float64)
+        cp.w_full[lane_sel] = w
+        for c in range(3):
+            np.multiply(f_scalar, s.d[c, : hi - lo], out=b["fvec"][c, lo:hi])
     energy = 0.0 + float(cp.e_full.sum(dtype=np.float64))
-    w = b["wtmp"][:k]
-    w[...] = f_scalar
-    w *= r2
-    cp.w_full[lane_sel] = w
     virial = 0.0 + float(cp.w_full.sum())
 
     n_weights = 2 * k if plist.half else k
-    scatter_idx = b["sidx"][:n_weights]
-    ftmp = b["ftmp"][:k]
+    scatter_idx = sidx[:n_weights]
+    wb = b["wb"][:n_weights]
     f_sorted = cp.f_sorted
     for c in range(3):
-        wb = b["wb"][c][:n_weights]
-        np.multiply(f_scalar, d[c], out=ftmp)
-        wb[:k] = ftmp
+        np.copyto(wb[:k], b["fvec"][c, :k])
         if plist.half:
             np.negative(wb[:k], out=wb[k:])
         f_sorted[:, c] = np.bincount(

@@ -10,6 +10,7 @@ GROMACS' default ``md`` integrator is leapfrog; the paper's workflow
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,9 @@ class LeapfrogIntegrator:
         self.constraints = constraints
         self._rng = np.random.default_rng(seed)
         self._step_count = 0
+        #: Wall time the last :meth:`step` spent in the constraint
+        #: solver's ``apply_positions`` / ``apply_velocities`` calls.
+        self.constraint_seconds = 0.0
 
     def get_state(self) -> dict:
         """JSON-serialisable internals for checkpointing.
@@ -85,19 +89,24 @@ class LeapfrogIntegrator:
         old_positions = system.positions.copy()
         system.positions = system.positions + system.velocities * dt
 
+        self.constraint_seconds = 0.0
         if self.constraints is not None and self.constraints.n_constraints:
+            t0 = time.perf_counter()
             self.constraints.apply_positions(
                 system.positions, old_positions, system.box
             )
+            self.constraint_seconds += time.perf_counter() - t0
             # Constrained velocities: (x_new - x_old)/dt under minimum
             # image — solvers may return coordinates shifted by a box
             # vector (SETTLE reconstructs molecules near the reference).
             system.velocities = (
                 system.box.minimum_image(system.positions - old_positions) / dt
             )
+            t0 = time.perf_counter()
             self.constraints.apply_velocities(
                 system.velocities, system.positions, system.box
             )
+            self.constraint_seconds += time.perf_counter() - t0
 
         system.positions = system.box.wrap(system.positions)
         self._step_count += 1

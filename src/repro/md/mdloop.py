@@ -71,10 +71,10 @@ class MdConfig:
     #: exact filter; the list is bit-identical either way.
     backend: str | None = None
     workers: int | None = None
-    #: Short-range kernel implementation: "scalar" (chunked reference)
-    #: or "vectorized" (panel-fed batch, `repro.core.vectorized`); None
-    #: resolves ``REPRO_KERNEL``-or-scalar.  Forces are bit-identical
-    #: either way.
+    #: Short-range kernel implementation: "vectorized" (pruned-lane
+    #: panels, `repro.core.vectorized`) or "scalar" (the chunked
+    #: reference); None resolves ``REPRO_KERNEL``, else vectorized.
+    #: Forces are bit-identical either way.
     kernel_impl: str | None = None
 
     def __post_init__(self) -> None:
@@ -191,6 +191,10 @@ class MdLoop:
         return forces, potential
 
     def _rebuild_pairlist(self, timing: KernelTiming, step: int = 0) -> None:
+        if self.pairlist is not None:
+            # Nothing reads the old list's panels or gathers again; free
+            # them before the next list and its panels are built.
+            self.pairlist.invalidate()
         t0 = time.perf_counter()
         self.pairlist = build_pair_list(
             self.system, self.config.nonbonded.r_list, backend=self.backend
@@ -309,14 +313,13 @@ class MdLoop:
             t0 = time.perf_counter()
             self.integrator.step(self.system, forces)
             self._next_step = step + 1
-            dt_update = time.perf_counter() - t0
-            # SHAKE runs inside the integrator; attribute its share to the
-            # Constraints kernel proportionally to constraint count.
+            dt_step = time.perf_counter() - t0
+            # The constraint solve runs inside the integrator, which times
+            # its solver calls; the rest of the step is the update.
+            dt_constraints = self.integrator.constraint_seconds
+            self._add(timing, KERNEL_UPDATE, dt_step - dt_constraints)
             if self.shake is not None and self.shake.n_constraints:
-                self._add(timing, KERNEL_UPDATE, dt_update * 0.4)
-                self._add(timing, KERNEL_CONSTRAINTS, dt_update * 0.6)
-            else:
-                self._add(timing, KERNEL_UPDATE, dt_update)
+                self._add(timing, KERNEL_CONSTRAINTS, dt_constraints)
 
             t0 = time.perf_counter()
             # Kinetic energy and temperature are only observable through

@@ -141,10 +141,16 @@ class ClusterPairList:
         return out
 
     def invalidate(self) -> None:
-        """Drop memoised gathers and tile panels.  `StepCache.invalidate`
+        """Drop memoised gathers and lane panels.  `StepCache.invalidate`
         calls this for every pinned list, so the rebuild/restore
         invalidation rule of DESIGN.md §8 covers these memos too."""
         self.__dict__.pop("_gather_cache", None)
+        self.release_panels()
+
+    def release_panels(self) -> None:
+        """Drop the memoised short-range lane panels
+        (`repro.core.vectorized`), keeping the gathers.  For a list that
+        will not be evaluated at new positions again."""
         self.__dict__.pop("_panel_cache", None)
 
     def scatter_add(self, target: np.ndarray, sorted_values: np.ndarray) -> None:

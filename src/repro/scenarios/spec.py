@@ -134,7 +134,8 @@ VARIANTS: dict[str, Variant] = {
         Variant("rung", str, "fused", RUNGS,
                 doc="strategy rung on the Fig. 8 optimisation ladder"),
         Variant("kernel", str, "auto", KERNEL_IMPLS,
-                doc="force-kernel implementation (auto = $REPRO_KERNEL)"),
+                doc="force-kernel implementation "
+                    "(auto = $REPRO_KERNEL, else vectorized)"),
         Variant("platform", str, "sw26010", PLATFORMS,
                 doc="platform model; CPE rungs exist only on sw26010"),
         Variant("seed", int, 2019, doc="build/thermalisation RNG seed"),

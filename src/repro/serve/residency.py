@@ -17,9 +17,11 @@ built, never *what* is computed:
   freshly built one (the drift guard below re-checks this on every
   lookup and invalidates instead of trusting it).
 * warm `StepCache` reuse is already proven bitwise identical to cold
-  evaluation (tests/core/test_stepcache.py); the vectorized
-  `CompactPanels` buffer pools memoise *on the resident pair list*
-  (``PANEL_CACHE_ATTR``), so they ride along and are dropped with it.
+  evaluation (tests/core/test_stepcache.py).  A resident system's
+  positions never change, so the cached short-range result answers
+  every job after the first; the vectorized lane panels that first
+  evaluation builds are released as soon as the batch (or warmup)
+  ends (`StepCache.release_panels`), never kept with the entry.
 * the config fingerprint folds in `resolve_kernel_impl(None)`: if the
   worker's ``REPRO_KERNEL`` resolution changes, the key changes, and
   stale-impl state can never answer.
@@ -53,8 +55,8 @@ from repro.serve.jobs import (
 )
 
 #: Default bound on resident systems per worker process.  Entries are a
-#: system + pair list + StepCache worth of arrays; four of the serve
-#: tier's default 300-particle boxes is ~single-digit MB.
+#: system + pair list + StepCache worth of arrays, never lane panels:
+#: under 7 MB each for the serve tier's default 900-particle water box.
 DEFAULT_RESIDENT_CAPACITY = 4
 
 
@@ -63,9 +65,9 @@ def config_fingerprint() -> tuple:
 
     Joins the residency key so entries built under one configuration
     can never answer under another.  Currently the resolved kernel
-    implementation (explicit env ``REPRO_KERNEL`` or the scalar
+    implementation (explicit env ``REPRO_KERNEL`` or the vectorized
     default) — the one process-level knob that selects between
-    bit-identical evaluation paths but distinct cached buffer shapes.
+    bit-identical evaluation paths.
     """
     from repro.core.vectorized import resolve_kernel_impl
 
@@ -120,7 +122,7 @@ class ResidentCache:
       rebuilds cold.  Residency can go *slow*, never *wrong*.
     * **LRU pressure** — exceeding ``capacity`` evicts the
       least-recently-used entry and invalidates its `StepCache` (which
-      also drops the pair list's panel/gather memos).
+      also drops the pair list's gather memo).
     * **process death** — entries live in worker memory only; a lane
       crash discards the process and the next batch rebuilds cold
       (test-enforced in tests/serve/test_residency.py).
@@ -345,6 +347,7 @@ def execute_batch_with(
             payloads[idx] = _kernel_payload(result, result.forces)
             if getattr(req, "return_forces", False):
                 force_blocks.append((idx, result.forces))
+        entry.cache.release_panels()
         cache_stats["sr_evals"] += entry.cache.stats.sr_evals - sr_evals0
         cache_stats["sr_hits"] += entry.cache.stats.sr_hits - sr_hits0
 
@@ -406,9 +409,11 @@ def warmup_with(cache: ResidentCache, request: JobRequest) -> dict:
 
     Runs one real kernel evaluation through the resident `StepCache` so
     the first post-warmup job is a pure hit — short-range result,
-    packed layouts, partitions, and panel pools all primed with exactly
-    the keys `run_kernel` will ask for.  MD requests are not resident
-    (their positions must drift) and report so instead of building.
+    packed layouts and partitions primed with exactly the keys
+    `run_kernel` will ask for.  The lane panels that evaluation built
+    are released: the cached result answers every later job.  MD
+    requests are not resident (their positions must drift) and report
+    so instead of building.
     """
     if request.kind != KIND_KERNEL:
         return {"resident": False, "reason": "md jobs execute cold"}
@@ -421,6 +426,7 @@ def warmup_with(cache: ResidentCache, request: JobRequest) -> dict:
         ALL_SPECS[request.kernel_spec_name],
         cache=entry.cache,
     )
+    entry.cache.release_panels()
     return {
         "resident": True,
         "built": cache.stats.builds > builds0,

@@ -5,20 +5,25 @@ every cell of the impl × backend × half/full × mark matrix must produce
 the same forces, energy, write-cache counters, shuffle counts, and
 trace events as the scalar fidelity walk — to the bit, not to a
 tolerance.  The per-step pruned-lane path is pinned the same way
-against `compute_short_range` across coulomb modes, dtypes, and
-drift-guard refreshes (ISSUE 8).
+against `compute_short_range` across coulomb modes, dtypes, lane-block
+boundaries and drift-guard refreshes, and its memory is bounded by the
+reference's.
 """
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core import vectorized
 from repro.core.kernels import ALL_SPECS, run_kernel, run_kernel_sequential
 from repro.core.stepcache import partition_clusters
 from repro.core.vectorized import (
     KERNEL_IMPLS,
     _pair_terms_compact,
+    _Scratch,
     compact_panels,
     compute_short_range_impl,
     compute_short_range_vectorized,
@@ -28,6 +33,8 @@ from repro.md.forces import compute_short_range
 from repro.md.nonbonded import NonbondedParams, pair_force_energy
 from repro.md.pairlist import build_pair_list
 from repro.md.water import build_water_system
+from repro.scenarios import concretize_text
+from repro.scenarios.registry import build_scenario
 from repro.trace.events import Tracer
 
 COULOMB_MODES = ("rf", "cut", "none", "ewald")
@@ -60,13 +67,15 @@ def _same_counters(a, b):
 
 
 class TestResolveImpl:
-    def test_default_is_scalar(self, monkeypatch):
+    def test_default_is_vectorized(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert resolve_kernel_impl() == "scalar"
+        assert resolve_kernel_impl() == "vectorized"
 
     def test_env_opt_in(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "vectorized")
         assert resolve_kernel_impl() == "vectorized"
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        assert resolve_kernel_impl() == "scalar"
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "vectorized")
@@ -243,12 +252,14 @@ class TestPairTermsCompact:
         # (overlapping padding) lanes.
         r2 = (rng.uniform(0.0, 1.3 * params.r_cut**2, k)).astype(dtype)
         r2[:: max(k // 17, 1)] = dtype(0.0)
+        # The panels keep felec*qq only; the reference takes the raw
+        # charge products the tiles form.
+        q = plist.gather(water.charges).astype(dtype)
+        qq = q[cp.idx_i] * q[cp.idx_j]
         ref_f, ref_e = pair_force_energy(
-            r2, cp.qq.copy(), cp.c6.copy(), cp.c12.copy(), params
+            r2, qq, cp.c6.copy(), cp.c12.copy(), params
         )
-        buf = cp.bufs["r2b"][:k]
-        buf[...] = r2
-        f, e = _pair_terms_compact(buf, cp, params)
+        f, e = _pair_terms_compact(r2, cp, 0, _Scratch(k, dtype), params)
         assert np.array_equal(f, ref_f)
         assert np.array_equal(e, ref_e)
 
@@ -257,13 +268,113 @@ class TestPairTermsCompact:
         plist = build_pair_list(water, params.r_list)
         cp = compact_panels(water, plist, params, dtype=np.float32)
         k = cp.n_kept
-        buf = cp.bufs["r2b"][:k]
-        buf.fill(0.0)  # every lane an overlapping self-pair
+        r2 = np.zeros(k, dtype=np.float32)  # every lane an overlapping self-pair
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, e = _pair_terms_compact(buf, cp, params)
+            f, e = _pair_terms_compact(
+                r2, cp, 0, _Scratch(k, np.float32), params
+            )
         assert not f.any()
         assert not e.any()
+
+
+def _assert_same_step(system, plist, params, dtype):
+    ref = compute_short_range(system, plist, params, dtype=dtype)
+    res = compute_short_range_vectorized(system, plist, params, dtype=dtype)
+    assert np.array_equal(ref.forces, res.forces)
+    assert ref.energy == res.energy
+    assert ref.virial == res.virial
+    assert ref.n_pairs_in_cutoff == res.n_pairs_in_cutoff
+
+
+class TestLaneBlocks:
+    """Block boundaries never change a result: with `LANE_BLOCK` patched
+    small, the per-step path stays bit-identical to the reference, and a
+    drift-guard re-anchor that grows the kept set past its capacity
+    reallocates in place."""
+
+    @pytest.mark.parametrize("static", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("mode", COULOMB_MODES)
+    def test_bit_identity(self, monkeypatch, mode, half, dtype, static):
+        monkeypatch.setattr(vectorized, "LANE_BLOCK", 257)
+        # In the 600-particle water box (1.82 nm) r_cut 0.45 keeps static
+        # shifts (2*r_keep - r_cut < box/2) and r_cut 0.8 does not.
+        r_cut = 0.45 if static else 0.8
+        params = NonbondedParams(
+            r_cut=r_cut, r_list=r_cut + 0.1, coulomb_mode=mode
+        )
+        system = build_water_system(600, seed=2019)
+        lattice = system.positions.copy()
+        plist = build_pair_list(system, params.r_list, half=half)
+        rng = np.random.default_rng(5)
+        # Anchor at a uniform random placement, where few listed lanes
+        # lie within r_keep; moving back to the lattice then re-anchors
+        # onto a much larger kept set.
+        system.positions = rng.uniform(0.0, 1.0, lattice.shape) * (
+            system.box.array
+        )
+        _assert_same_step(system, plist, params, dtype)
+        cp = compact_panels(system, plist, params, dtype=dtype)
+        assert cp.static_shift is static
+        cap = cp.cap
+        system.positions = lattice.copy()
+        _assert_same_step(system, plist, params, dtype)
+        assert compact_panels(system, plist, params, dtype=dtype) is cp
+        assert cp.n_kept > cap
+        # Small drift: served from the re-anchored panels.
+        system.positions = lattice + rng.normal(0.0, 0.004, lattice.shape)
+        _assert_same_step(system, plist, params, dtype)
+
+
+def _traced(fn):
+    """``(peak, retained)`` bytes of ``fn()`` under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, current - base
+
+
+class TestPanelMemory:
+    """The fast path's first call peaks no higher than 1.25x the scalar
+    reference on the same list, and the panels it keeps are no larger
+    than the reference's peak."""
+
+    @pytest.mark.parametrize(
+        "case", ["water-float32", "ionic-pme-float64"]
+    )
+    def test_first_call_bounded_by_reference(self, case):
+        if case == "water-float32":
+            system = build_water_system(900, seed=2019)
+            params = NonbondedParams(r_cut=0.9, r_list=1.0, coulomb_mode="rf")
+            dtype = np.float32
+        else:
+            system, params = build_scenario(
+                concretize_text("ionic@nacl n=900 elec=pme seed=3")
+            )
+            dtype = np.float64
+        ref_peak, _ = _traced(
+            lambda: compute_short_range(
+                system, build_pair_list(system, params.r_list), params,
+                dtype=dtype,
+            )
+        )
+        plist = build_pair_list(system, params.r_list)
+        peak, _ = _traced(
+            lambda: compute_short_range_vectorized(
+                system, plist, params, dtype=dtype
+            )
+        )
+        _, freed = _traced(plist.release_panels)
+        assert peak <= 1.25 * ref_peak, (peak, ref_peak)
+        assert -freed <= ref_peak, (-freed, ref_peak)
 
 
 class TestMaskedLaneWarnings:

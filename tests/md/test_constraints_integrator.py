@@ -1,6 +1,8 @@
 """SHAKE/RATTLE constraints, leapfrog integration, thermostats, the MD
 loop and minimiser."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,34 @@ class TestMdLoop:
             assert kernel in res.timing.seconds
         assert res.timing.fractions()["Force"] > 0.3
         assert res.n_pairlist_rebuilds == 2  # nstlist=10, steps 0 and 10
+
+    def test_unconstrained_books_no_constraints(self, lj_small, nb_lj):
+        res = MdLoop(lj_small.copy(), MdConfig(nonbonded=nb_lj)).run(3)
+        assert "Constraints" not in res.timing.seconds
+        assert res.timing.seconds["Update"] > 0
+
+    def test_constraints_book_measured_solver_time(self, water_small):
+        cfg = MdConfig(
+            nonbonded=NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf"),
+            integrator=IntegratorConfig(dt=0.001),
+        )
+        loop = MdLoop(water_small.copy(), cfg)
+        spent = []
+        apply_positions = loop.shake.apply_positions
+
+        def slow_apply_positions(*args, **kwargs):
+            t0 = time.perf_counter()
+            time.sleep(0.01)
+            apply_positions(*args, **kwargs)
+            spent.append(time.perf_counter() - t0)
+
+        loop.shake.apply_positions = slow_apply_positions
+        res = loop.run(4)
+        constraints = res.timing.seconds["Constraints"]
+        assert len(spent) == 4
+        assert constraints >= sum(spent)
+        # Not the old fixed split, which booked Constraints as 1.5x Update.
+        assert res.timing.seconds["Update"] < constraints / 4
 
     def test_trajectory_output(self, water_small):
         cfg = MdConfig(

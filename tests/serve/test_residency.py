@@ -17,6 +17,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.vectorized import PANEL_CACHE_ATTR
 from repro.parallel.pool import PoolBackend, SerialBackend, WorkerCrashError
 from repro.serve.jobs import JobRequest, execute_batch, execute_request
 from repro.serve.residency import (
@@ -28,6 +29,7 @@ from repro.serve.residency import (
     lane_for_system,
     resident_key,
     warmup_job,
+    warmup_with,
 )
 from repro.serve.service import ServeConfig, SimulationService
 
@@ -113,9 +115,9 @@ class TestResidentCache:
 
     def test_key_tracks_kernel_impl(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        scalar_key = resident_key(req(seed=1))
-        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
         vector_key = resident_key(req(seed=1))
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        scalar_key = resident_key(req(seed=1))
         assert scalar_key != vector_key  # stale-impl state can never answer
 
 
@@ -185,6 +187,34 @@ class TestBitIdentityMatrix:
         assert warm2.payloads == cold.payloads
         assert warm2.cache_stats["resident_hits"] >= 1
         assert warm2.cache_stats["resident_builds"] == 0
+
+
+class TestPanelRelease:
+    """Resident lists keep no lane panels: a resident system's positions
+    never change, so the StepCache's short-range result answers every
+    job after the first and the panels would never be read again."""
+
+    def test_no_panels_after_warmup_or_batch(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+        cache = ResidentCache(capacity=4)
+
+        def resident_lists():
+            return [
+                plist
+                for entry in cache._entries.values()
+                for plist in entry.cache._plists.values()
+            ]
+
+        warmup_with(cache, req(seed=1))
+        assert len(resident_lists()) == 1
+        assert not any(PANEL_CACHE_ATTR in pl.__dict__ for pl in resident_lists())
+        # RCA evaluates the mirrored full list, a second pinned list.
+        outcome = execute_batch_with(
+            cache, (req(seed=1, spec="RCA"), req(seed=2))
+        )
+        assert outcome.cache_stats["sr_evals"] == 2
+        assert len(resident_lists()) == 3
+        assert not any(PANEL_CACHE_ATTR in pl.__dict__ for pl in resident_lists())
 
 
 # ---------------------------------------------------------------------------
