@@ -122,7 +122,7 @@ def _engine_run_stamps(
     system = build_water_system(n_particles, seed=SEED)
     engine = SWGromacsEngine(
         system,
-        EngineConfig(nonbonded=_nb(), step_reuse=True, kernel_impl=kernel_impl),
+        EngineConfig(nonbonded=_nb(), kernel_impl=kernel_impl),
     )
     stamps = _StepStamps()
     t0 = time.perf_counter()

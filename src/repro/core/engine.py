@@ -31,7 +31,7 @@ from repro.core.kernels import (
     run_kernel,
 )
 from repro.core.pairlist_cpe import cache_study, search_kernel_seconds, search_trace
-from repro.core.stepcache import NullStepCache, StepCache
+from repro.core.stepcache import StepCache
 from repro.core.vectorized import resolve_kernel_impl
 from repro.hw.dma import DmaEngine
 from repro.hw.params import ChipParams, DEFAULT_PARAMS
@@ -109,12 +109,6 @@ class EngineConfig:
     output_interval: int = 0
     report_interval: int = 100
     use_pme_comm: bool = True  # PME all-to-all in the comm model
-    #: Step-compute reuse (DESIGN.md §8): share the functional force
-    #: evaluation between the rebuild-step kernel model and the step
-    #: loop, plus all pairlist-topology analysis across the interval.
-    #: False swaps in the recompute-everything NullStepCache (ablation
-    #: baseline); results are bit-identical either way.
-    step_reuse: bool = True
     chip: ChipParams = DEFAULT_PARAMS
     #: Failure/recovery knobs (default = perfect hardware, no checkpoints).
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
@@ -238,11 +232,12 @@ class SWGromacsEngine:
         self.pairlist = None
         self._cached_force_model: KernelResult | None = None
         self._cached_ns_seconds: float | None = None
-        #: Pairlist-interval reuse layer; invalidated on every rebuild
-        #: and on restore() (DESIGN.md §8).
-        self.stepcache = (
-            StepCache() if self.config.step_reuse else NullStepCache()
-        )
+        #: Pairlist-interval reuse layer: shares the functional force
+        #: evaluation between the rebuild-step kernel model and the step
+        #: loop, plus all pairlist-topology analysis across the interval.
+        #: Invalidated before every rebuild and on restore() (DESIGN.md
+        #: §8); tests assign a `NullStepCache` for the reuse-off baseline.
+        self.stepcache = StepCache()
         #: Seeded fault oracle for this run (None = perfect hardware).
         policy = self.config.resilience
         self.fault_plan = policy.build_fault_plan()

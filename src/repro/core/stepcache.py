@@ -21,15 +21,16 @@ the reproduction the same lever, at two scopes:
   never on positions, so steps ``2..nstlist`` of each interval skip
   trace analysis entirely.
 
-Invalidation rules (enforced by the owners, tested in
-``tests/core/test_stepcache.py``):
-
-* `SWGromacsEngine` and `MdLoop` call :meth:`StepCache.invalidate` on
-  every pair-list rebuild and on checkpoint :meth:`restore`;
-* position-keyed entries store only the *latest* fingerprint per
-  (pair list, dtype) so a long MD run cannot grow the cache;
-* topology-keyed entries die with their pair-list object (the cache
-  holds the only strong reference and drops it on invalidate).
+Ownership (DESIGN.md §8, tested in ``tests/core/test_stepcache.py``):
+everything derived from one pair list — both scopes above plus the
+vectorized kernel's lane panels — lives in that list's
+:class:`ListMemo`, and the cache keeps every memo until
+:meth:`StepCache.invalidate`.  `SWGromacsEngine` and `MdLoop` invalidate
+before every pair-list build and on checkpoint :meth:`restore`; the
+resident serve tier invalidates on eviction.
+:meth:`StepCache.release_panels` drops only the lane panels.
+Position-keyed entries keep only the *latest* fingerprint per key, so a
+long MD run cannot grow a memo.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.core.fetch import ReadTraceStats, analyze_read_trace
 from repro.core.packing import Layout, PackedParticles
 from repro.hw.cache import AddressMap
 from repro.hw.params import ChipParams, DEFAULT_PARAMS
-from repro.md.forces import ShortRangeResult, compute_short_range
+from repro.md.forces import ShortRangeResult
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import ClusterPairList
 from repro.md.system import ParticleSystem
@@ -154,55 +155,66 @@ class StepCacheStats:
         return dict(vars(self))
 
 
+@dataclass
+class ListMemo:
+    """Everything a :class:`StepCache` derives from one pair list."""
+
+    #: The list itself: pinning it keeps its ``id()`` (the memo's key in
+    #: the cache) unique for as long as the memo lives.
+    plist: ClusterPairList
+    #: Topology-keyed entries: (kind, ...) -> value.
+    topo: dict = field(default_factory=dict)
+    #: Position-keyed entries: (kind, ...) -> (fingerprint, value).  Only
+    #: the latest fingerprint is retained per key, so a stepping run
+    #: replaces entries instead of accumulating them.
+    state: dict = field(default_factory=dict)
+    #: Lane panels of the vectorized short-range kernel
+    #: (`repro.core.vectorized`), filled by the kernel itself.
+    panels: dict = field(default_factory=dict)
+
+
 class StepCache:
     """Compute-reuse layer shared by strategy sweeps and the MD drivers.
 
-    One instance serves one driver (engine, reference loop, or one
-    `run_strategy_sweep` call).  All getters are memoising wrappers
-    around the underlying pure functions; with a fresh cache every call
-    is a miss, so results are bit-identical to the uncached path by
-    construction.
+    One instance serves one owner: the engine, the reference loop, a
+    resident serve entry, or one `run_strategy_sweep` call.  All getters are
+    memoising wrappers around the underlying pure functions; with a
+    fresh cache every call is a miss, so results are bit-identical to
+    the uncached path by construction.
     """
 
     def __init__(self) -> None:
-        #: Strong refs keep cached pair-list ids unique until invalidate().
-        self._plists: dict[int, ClusterPairList] = {}
-        #: Topology-keyed entries: (kind, plist id, ...) -> value.
-        self._topo: dict[tuple, object] = {}
-        #: Position-keyed entries: (kind, plist id, ...) -> (fingerprint,
-        #: value).  Only the latest fingerprint is retained per key, so a
-        #: stepping run replaces entries instead of accumulating them.
-        self._state: dict[tuple, tuple[bytes, object]] = {}
+        #: id(plist) -> that list's memo.
+        self._memos: dict[int, ListMemo] = {}
         self.stats = StepCacheStats()
 
     # -- lifecycle ---------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop everything (pair-list rebuild or checkpoint restore)."""
-        for plist in self._plists.values():
-            plist.invalidate()  # the list's own gather memo dies with us
-        self._plists.clear()
-        self._topo.clear()
-        self._state.clear()
+        """Drop every memo (pair-list rebuild, checkpoint restore or
+        resident eviction)."""
+        self._memos.clear()
         self.stats.invalidations += 1
 
     def release_panels(self) -> None:
-        """Drop the lane panels of every pinned list and keep all other
+        """Drop the lane panels of every memo and keep all other
         entries — for owners whose positions never change, where the
         cached short-range result answers every later call."""
-        for plist in self._plists.values():
-            plist.release_panels()
+        for memo in self._memos.values():
+            memo.panels.clear()
 
-    def _pin(self, plist: ClusterPairList) -> int:
-        key = id(plist)
-        self._plists[key] = plist
-        return key
+    def _memo(self, plist: ClusterPairList) -> ListMemo:
+        memo = self._memos.get(id(plist))
+        if memo is None:
+            memo = self._memos[id(plist)] = ListMemo(plist)
+        return memo
 
     # -- internal memo helpers ---------------------------------------------
-    def _topo_get(self, key: tuple, compute):
-        hit = self._topo.get(key)
+    def _topo_get(self, plist: ClusterPairList, key: tuple, compute):
+        topo = self._memo(plist).topo
+        hit = topo.get(key)
         if hit is None:
             hit = compute()
-            self._topo[key] = hit
+            topo[key] = hit
             self.stats.topo_misses += 1
         else:
             self.stats.topo_hits += 1
@@ -234,16 +246,18 @@ class StepCache:
         )
 
         impl = resolve_kernel_impl(impl)
-        key = ("sr", self._pin(plist), np.dtype(dtype).str, nb_params, impl)
+        memo = self._memo(plist)
+        key = ("sr", np.dtype(dtype).str, nb_params, impl)
         fp = position_fingerprint(system.positions)
-        hit = self._state.get(key)
+        hit = memo.state.get(key)
         if hit is not None and hit[0] == fp:
             self.stats.sr_hits += 1
             return hit[1]
         sr = compute_short_range_impl(
-            system, plist, nb_params, dtype=dtype, impl=impl
+            system, plist, nb_params, dtype=dtype, panels=memo.panels,
+            impl=impl,
         )
-        self._state[key] = (fp, sr)
+        memo.state[key] = (fp, sr)
         self.stats.sr_evals += 1
         return sr
 
@@ -255,32 +269,32 @@ class StepCache:
         params: ChipParams = DEFAULT_PARAMS,
     ) -> PackedParticles:
         """Packed particle arrays, shared across the rungs of a sweep."""
-        key = ("packed", self._pin(plist), layout, params)
+        state = self._memo(plist).state
+        key = ("packed", layout, params)
         fp = position_fingerprint(system.positions)
-        hit = self._state.get(key)
+        hit = state.get(key)
         if hit is not None and hit[0] == fp:
             self.stats.packed_hits += 1
             return hit[1]
         packed = PackedParticles.from_pairlist(system, plist, layout, params)
-        self._state[key] = (fp, packed)
+        state[key] = (fp, packed)
         self.stats.packed_builds += 1
         return packed
 
     # -- list-topology scope -----------------------------------------------
     def full_list(self, plist: ClusterPairList) -> ClusterPairList:
         """Memoised ``plist.to_full()`` (the RCA mirrored list)."""
-        key = ("full", self._pin(plist))
-        return self._topo_get(key, plist.to_full)
+        return self._topo_get(plist, ("full",), plist.to_full)
 
     def partitions(
         self, plist: ClusterPairList, n_cpes: int
     ) -> list[tuple[int, int]]:
-        key = ("parts", self._pin(plist), n_cpes)
-        return self._topo_get(key, lambda: partition_clusters(plist, n_cpes))
+        return self._topo_get(
+            plist, ("parts", n_cpes), lambda: partition_clusters(plist, n_cpes)
+        )
 
     def pair_counts(self, plist: ClusterPairList, n_cpes: int) -> np.ndarray:
         """Cluster-pair count per CPE for the cached partition."""
-        key = ("pair_counts", self._pin(plist), n_cpes)
 
         def compute():
             parts = self.partitions(plist, n_cpes)
@@ -288,13 +302,15 @@ class StepCache:
                 [int(plist.i_starts[hi] - plist.i_starts[lo]) for lo, hi in parts]
             )
 
-        return self._topo_get(key, compute)
+        return self._topo_get(plist, ("pair_counts", n_cpes), compute)
 
     def write_trace(
         self, plist: ClusterPairList, lo: int, hi: int
     ) -> np.ndarray:
-        key = ("wtrace", self._pin(plist), lo, hi)
-        return self._topo_get(key, lambda: write_trace_for_range(plist, lo, hi))
+        return self._topo_get(
+            plist, ("wtrace", lo, hi),
+            lambda: write_trace_for_range(plist, lo, hi),
+        )
 
     def write_trace_stats(
         self,
@@ -304,9 +320,9 @@ class StepCache:
         params: ChipParams,
         use_mark: bool,
     ) -> WriteTraceStats:
-        key = ("wstats", self._pin(plist), lo, hi, params, use_mark)
         return self._topo_get(
-            key,
+            plist,
+            ("wstats", lo, hi, params, use_mark),
             lambda: analyze_write_trace(
                 self.write_trace(plist, lo, hi), params, use_mark=use_mark
             ),
@@ -322,27 +338,28 @@ class StepCache:
     ) -> ReadTraceStats:
         # The analysis uses only the trace, the cache geometry, and the
         # packed line size — all topology/params facts, never positions.
-        key = ("rstats", self._pin(plist), lo, hi, params, packed.data_line_bytes)
+        key = ("rstats", lo, hi, params, packed.data_line_bytes)
 
         def compute():
             s, e = int(plist.i_starts[lo]), int(plist.i_starts[hi])
             trace = plist.pair_cj[s:e].astype(np.int64)
             return analyze_read_trace(trace, packed, params)
 
-        return self._topo_get(key, compute)
+        return self._topo_get(plist, key, compute)
 
     def touched_lines(
         self, plist: ClusterPairList, lo: int, hi: int, params: ChipParams
     ) -> int:
         """Distinct force-cache lines one CPE's write trace touches."""
-        key = ("tlines", self._pin(plist), lo, hi, params.offset_bits)
 
         def compute():
             amap = AddressMap(params.index_bits, params.offset_bits)
             trace = self.write_trace(plist, lo, hi)
             return int(len(np.unique(trace >> amap.offset_bits)))
 
-        return self._topo_get(key, compute)
+        return self._topo_get(
+            plist, ("tlines", lo, hi, params.offset_bits), compute
+        )
 
     # -- parallel priming ---------------------------------------------------
     def prime_partition_stats(
@@ -363,7 +380,7 @@ class StepCache:
         Computes exactly the entries the subsequent `run_kernel` loop
         would compute serially — read-trace stats, write-trace stats,
         touched-line counts per partition — and stores them under the
-        same `_topo` keys, so the serial getters then hit.  Values are
+        same list-memo keys, so the serial getters then hit.  Values are
         bit-identical by construction: the workers run the same pure
         functions on the same trace slices, and results are stored in
         partition order.  Serial or already-cached entries make this a
@@ -378,16 +395,16 @@ class StepCache:
         if not (read or write or touched):
             return
         parts = self.partitions(plist, n_cpes)
-        pid = self._pin(plist)
+        topo = self._memo(plist).topo
         tasks: list[_PartitionStatsTask] = []
         keys: list[tuple[tuple | None, tuple | None, tuple | None]] = []
         for lo, hi in parts:
-            rkey = ("rstats", pid, lo, hi, params, packed.data_line_bytes)
-            wkey = ("wstats", pid, lo, hi, params, use_mark)
-            tkey = ("tlines", pid, lo, hi, params.offset_bits)
-            want_r = read and rkey not in self._topo
-            want_w = write and wkey not in self._topo
-            want_t = touched and tkey not in self._topo
+            rkey = ("rstats", lo, hi, params, packed.data_line_bytes)
+            wkey = ("wstats", lo, hi, params, use_mark)
+            tkey = ("tlines", lo, hi, params.offset_bits)
+            want_r = read and rkey not in topo
+            want_w = write and wkey not in topo
+            want_t = touched and tkey not in topo
             if not (want_r or want_w or want_t):
                 continue
             rtrace = None
@@ -428,7 +445,7 @@ class StepCache:
         ):
             for key, value in ((rkey, rstats), (wkey, wstats), (tkey, tlines)):
                 if key is not None:
-                    self._topo[key] = value
+                    topo[key] = value
                     self.stats.topo_misses += 1
 
 
@@ -448,8 +465,9 @@ class _NullStats:
 class NullStepCache:
     """Reuse-off stand-in: every getter recomputes (ablation baseline).
 
-    Lets the drivers keep one code path while `step_reuse=False` disables
-    all sharing — the bit-identity tests run both and compare.
+    Assigned to an engine's or `MdLoop`'s ``stepcache`` (or passed as
+    ``cache=`` to `run_kernel`) it disables all sharing, lane panels
+    included — the bit-identity tests run both and compare.
     """
 
     stats: _NullStats = field(default_factory=_NullStats)
@@ -462,8 +480,7 @@ class NullStepCache:
 
         self.stats.sr_evals += 1
         return compute_short_range_impl(
-            system, plist, nb_params, dtype=dtype, reuse_gathers=False,
-            impl=impl,
+            system, plist, nb_params, dtype=dtype, impl=impl
         )
 
     def packed(self, system, plist, layout, params=DEFAULT_PARAMS):

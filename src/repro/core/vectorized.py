@@ -61,10 +61,6 @@ from repro.trace.events import CAT_COMPUTE, TraceEvent
 
 KERNEL_IMPLS = ("scalar", "vectorized")
 
-#: Key under which the per-list lane panels memoise on the pair list;
-#: popped by ``ClusterPairList.invalidate`` alongside the gather memo.
-PANEL_CACHE_ATTR = "_panel_cache"
-
 
 def resolve_kernel_impl(impl: str | None = None) -> str:
     """Resolve a kernel implementation name.
@@ -233,7 +229,7 @@ LANE_BLOCK = 16384
 
 
 def valid_lanes(
-    system: ParticleSystem, plist: ClusterPairList, reuse: bool = True
+    system: ParticleSystem, plist: ClusterPairList, panels: dict | None = None
 ) -> np.ndarray:
     """Flat full-lane index (int32) of every topology-valid tile lane.
 
@@ -241,35 +237,20 @@ def valid_lanes(
     in the flattened ``(M, 4, 4)`` tile block; slot pairs and pair
     constants are derived from them on demand (:func:`_lane_slots`).
     Nothing here depends on positions, so a drift-guard re-anchor reuses
-    it and only redoes the positional scan.  Memoised on the list.
+    it and only redoes the positional scan.  Memoised in ``panels``, the
+    caller's per-list panel memo (None: no reuse).
     """
-    cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and "lanes" in cache:
-        return cache["lanes"]
+    if panels is not None and "lanes" in panels:
+        return panels["lanes"]
     ci = plist.pair_ci.astype(np.int64)
     cj = plist.pair_cj.astype(np.int64)
     slot_i, slot_j = tile_indices(ci, cj)
-    mol = _gathered(plist, system.topology.mol_ids, np.int64, reuse, fill=-1)
+    mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
     valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol)
     lanes = np.flatnonzero(valid.reshape(-1)).astype(np.int32)
-    if cache is not None:
-        cache["lanes"] = lanes
+    if panels is not None:
+        panels["lanes"] = lanes
     return lanes
-
-
-def _gathered(
-    plist: ClusterPairList,
-    values: np.ndarray,
-    dtype: type,
-    reuse: bool,
-    fill: float = 0.0,
-) -> np.ndarray:
-    """Sorted-slot copy of a step-invariant per-particle array, memoised
-    on the list when ``reuse`` (the gathers `compute_short_range`
-    makes)."""
-    if reuse:
-        return plist.gather_cached(values, fill=fill, dtype=dtype)
-    return plist.gather(values, fill=fill).astype(dtype)
 
 
 def _lane_slots(
@@ -418,7 +399,7 @@ def _anchor(
     plist: ClusterPairList,
     params: NonbondedParams,
     pos: np.ndarray,
-    reuse: bool,
+    panels: dict | None,
 ) -> None:
     """Anchor (or re-anchor) ``cp`` at ``pos``, in place.
 
@@ -429,7 +410,7 @@ def _anchor(
     """
     dtype = pos.dtype
     dt = dtype.type
-    lanes = valid_lanes(system, plist, reuse)
+    lanes = valid_lanes(system, plist, panels)
     pcols = np.ascontiguousarray(pos.T)
     box_arr = plist.box.array.astype(dtype)
     block = max(1, min(LANE_BLOCK, len(lanes)))
@@ -454,8 +435,8 @@ def _anchor(
     cp.w_full.fill(0.0)
     np.copyto(cp.anchor_pos, pos)
 
-    q = _gathered(plist, system.charges, dtype, reuse)
-    types = _gathered(plist, system.topology.type_ids, np.int64, reuse)
+    q = plist.gather(system.charges).astype(dtype)
+    types = plist.gather(system.topology.type_ids).astype(np.int64)
     c6_tab = system.topology.c6_table.astype(dtype)
     c12_tab = system.topology.c12_table.astype(dtype)
     inv6 = (1.0 / params.r_cut) ** 6
@@ -506,21 +487,21 @@ def compact_panels(
     plist: ClusterPairList,
     params: NonbondedParams,
     dtype: type = np.float64,
-    reuse: bool = True,
+    panels: dict | None = None,
 ) -> CompactPanels:
     """Build (or fetch memoised) pruned lane panels for ``plist``.
 
-    The memo lives on the pair list (popped by ``invalidate``); the key
-    includes dtype and the nonbonded parameters, so different cutoffs
-    never share a lane set.  The anchor scan runs block by block over
-    the cached valid lanes — no ``(M, 4, 4, 3)`` broadcast — so a
+    ``panels`` is the caller's per-list panel memo (a `StepCache` list
+    memo's ``panels``; None builds throwaway panels).  The key includes
+    dtype and the nonbonded parameters, so different cutoffs never
+    share a lane set.  The anchor scan runs block by block over the
+    cached valid lanes — no ``(M, 4, 4, 3)`` broadcast — so a
     drift-guard re-anchor costs a few streaming passes, not a tile
     rebuild.
     """
     key = ("compact", np.dtype(dtype).str, params)
-    cache = plist.__dict__.setdefault(PANEL_CACHE_ATTR, {}) if reuse else None
-    if cache is not None and key in cache:
-        return cache[key]
+    if panels is not None and key in panels:
+        return panels[key]
     pos = plist.current_positions(system).astype(dtype)
     r_keep = params.r_cut + PRUNE_MARGIN
     n_lanes = plist.n_cluster_pairs * CLUSTER_SIZE * CLUSTER_SIZE
@@ -541,9 +522,9 @@ def compact_panels(
         static_shift=2.0 * r_keep - params.r_cut < 0.5 * min_box - 1e-9,
         has_shift_e=params.shift_lj,
     )
-    _anchor(cp, system, plist, params, pos, reuse)
-    if cache is not None:
-        cache[key] = cp
+    _anchor(cp, system, plist, params, pos, panels)
+    if panels is not None:
+        panels[key] = cp
     return cp
 
 
@@ -661,12 +642,13 @@ def compute_short_range_vectorized(
     params: NonbondedParams,
     dtype: type = np.float64,
     chunk_pairs: int = 65536,
-    reuse_gathers: bool = True,
+    panels: dict | None = None,
 ) -> ShortRangeResult:
     """Pruned-lane `compute_short_range` with memoised compact panels.
 
     Once per rebuild the 4x4 tiles are flattened to the lanes that are
-    topology-valid and within ``r_keep`` (:func:`compact_panels`); per
+    topology-valid and within ``r_keep`` (:func:`compact_panels`,
+    memoised in the caller's ``panels``; None rebuilds them per call); per
     step only gathers, one PBC fold, ``r2``, the pair kernel and the
     force scatter run, block by block over the kept lanes.  A drift
     guard re-anchors the panels whenever a particle has moved far
@@ -691,14 +673,9 @@ def compute_short_range_vectorized(
     m_total = plist.n_cluster_pairs
     if m_total > chunk_pairs:
         return compute_short_range(
-            system,
-            plist,
-            params,
-            dtype=dtype,
-            chunk_pairs=chunk_pairs,
-            reuse_gathers=reuse_gathers,
+            system, plist, params, dtype=dtype, chunk_pairs=chunk_pairs
         )
-    cp = compact_panels(system, plist, params, dtype=dtype, reuse=reuse_gathers)
+    cp = compact_panels(system, plist, params, dtype=dtype, panels=panels)
     pos = plist.current_positions(system).astype(dtype)
     box_arr = plist.box.array.astype(dtype)
 
@@ -707,7 +684,7 @@ def compute_short_range_vectorized(
         # A pruned lane may have drifted inside the cutoff (or a static
         # shift may no longer round the same way): re-anchor the panels
         # at the current positions.
-        _anchor(cp, system, plist, params, pos, reuse_gathers)
+        _anchor(cp, system, plist, params, pos, panels)
 
     k = cp.n_kept
     b = cp.bufs
@@ -765,10 +742,12 @@ def compute_short_range_impl(
     params: NonbondedParams,
     dtype: type = np.float64,
     chunk_pairs: int = 65536,
-    reuse_gathers: bool = True,
+    panels: dict | None = None,
     impl: str | None = None,
 ) -> ShortRangeResult:
-    """Dispatch a short-range evaluation by implementation name."""
+    """Dispatch a short-range evaluation by implementation name
+    (``panels`` is the vectorized kernel's per-list memo; the scalar
+    reference keeps none)."""
     if resolve_kernel_impl(impl) == "vectorized":
         return compute_short_range_vectorized(
             system,
@@ -776,13 +755,8 @@ def compute_short_range_impl(
             params,
             dtype=dtype,
             chunk_pairs=chunk_pairs,
-            reuse_gathers=reuse_gathers,
+            panels=panels,
         )
     return compute_short_range(
-        system,
-        plist,
-        params,
-        dtype=dtype,
-        chunk_pairs=chunk_pairs,
-        reuse_gathers=reuse_gathers,
+        system, plist, params, dtype=dtype, chunk_pairs=chunk_pairs
     )

@@ -29,7 +29,7 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 STATE_UP = "up"
 STATE_DRAINING = "draining"

@@ -85,34 +85,17 @@ def compute_short_range(
     params: NonbondedParams,
     dtype: type = np.float64,
     chunk_pairs: int = 65536,
-    reuse_gathers: bool = True,
 ) -> ShortRangeResult:
     """Evaluate LJ + short-range Coulomb over the pair list.
 
     ``dtype`` selects the arithmetic precision: float64 is the reference,
     float32 models the paper's mixed-precision production path.
-
-    ``reuse_gathers`` routes the step-invariant gathers (charges, type
-    ids, molecule ids — fixed between pair-list rebuilds) through the
-    list's memo (:meth:`~repro.md.pairlist.ClusterPairList.gather_cached`)
-    so repeated per-step evaluations skip them; the values are identical
-    either way (the ablation flag exists for the reuse bit-identity
-    tests and the `bench_step_reuse` baseline).
     """
     box = plist.box
     pos = plist.current_positions(system).astype(dtype)
-    if reuse_gathers:
-        q = plist.gather_cached(system.charges, dtype=dtype)
-        types = plist.gather_cached(
-            system.topology.type_ids, fill=0, dtype=np.int64
-        )
-        mol = plist.gather_cached(
-            system.topology.mol_ids, fill=-1, dtype=np.int64
-        )
-    else:
-        q = plist.gather(system.charges).astype(dtype)
-        types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
-        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
+    q = plist.gather(system.charges).astype(dtype)
+    types = plist.gather(system.topology.type_ids, fill=0).astype(np.int64)
+    mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
     # Padding slots get mol -1; make each unique so the exclusion test
     # (equal mol id) never accidentally masks real pairs, while padding is
     # already excluded via `real`.

@@ -59,10 +59,6 @@ class MdConfig:
     constraint_algorithm: str = "auto"  # auto | shake | lincs | settle
     output_interval: int = 0  # 0 = no trajectory output
     report_interval: int = 100
-    #: Step-compute reuse (DESIGN.md §8): route the step-invariant
-    #: gathers (charges/types/mols) through the pair list's memo.  Forces
-    #: are bit-identical either way; False is the ablation baseline.
-    step_reuse: bool = True
     #: Checkpoint cadence/path (fault injection is an engine-side
     #: concept; the reference loop only checkpoints).
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
@@ -127,13 +123,18 @@ class MdLoop:
             PmeSolver(system.box, self.config.pme) if self.config.use_pme else None
         )
         # Imported lazily: repro.core.engine imports this module, so a
-        # top-level import of repro.core.vectorized would be circular
-        # through the packages' __init__ re-exports.
+        # top-level import of repro.core would be circular through the
+        # packages' __init__ re-exports.
+        from repro.core.stepcache import StepCache
         from repro.core.vectorized import resolve_kernel_impl
 
         #: Resolved once for the whole run; per-step dispatch is a string
         #: compare, not an env lookup.
         self.kernel_impl = resolve_kernel_impl(self.config.kernel_impl)
+        #: Pairlist-interval reuse layer (owner of the lane panels);
+        #: invalidated before every list build and on restore()
+        #: (DESIGN.md §8).
+        self.stepcache = StepCache()
         self.pairlist: ClusterPairList | None = None
         self._potential = 0.0
         self._start_step = 0
@@ -159,16 +160,12 @@ class MdLoop:
 
     def compute_forces(self, timing: KernelTiming | None = None) -> tuple[np.ndarray, float]:
         """All forces and the total potential at the current positions."""
-        from repro.core.vectorized import compute_short_range_impl
-
         timing = timing if timing is not None else KernelTiming()
         assert self.pairlist is not None, "neighbour list not built"
         t0 = time.perf_counter()
-        sr = compute_short_range_impl(
+        sr = self.stepcache.short_range(
             self.system, self.pairlist, self.config.nonbonded,
-            dtype=self.config.precision,
-            reuse_gathers=self.config.step_reuse,
-            impl=self.kernel_impl,
+            dtype=self.config.precision, impl=self.kernel_impl,
         )
         self._add(timing, KERNEL_FORCE, time.perf_counter() - t0)
         forces = sr.forces
@@ -191,10 +188,9 @@ class MdLoop:
         return forces, potential
 
     def _rebuild_pairlist(self, timing: KernelTiming, step: int = 0) -> None:
-        if self.pairlist is not None:
-            # Nothing reads the old list's panels or gathers again; free
-            # them before the next list and its panels are built.
-            self.pairlist.invalidate()
+        # Nothing reads the old list's panels again; free them before the
+        # next list and its panels are built.
+        self.stepcache.invalidate()
         t0 = time.perf_counter()
         self.pairlist = build_pair_list(
             self.system, self.config.nonbonded.r_list, backend=self.backend
@@ -255,6 +251,7 @@ class MdLoop:
         self._pairlist_rebuild_step = ckpt.pairlist_rebuild_step
         self._restart_ref_positions = ckpt.pairlist_ref_positions
         self.pairlist = None
+        self.stepcache.invalidate()
         if ckpt.history is not None:
             self._restored_history = dict(ckpt.history)
         else:

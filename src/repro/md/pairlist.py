@@ -28,11 +28,6 @@ from repro.parallel.pool import as_input, shared_inputs
 
 CLUSTER_SIZE = 4
 
-#: Cap on distinct (array, dtype, fill) gather memo entries per list —
-#: generous for real kernels (positions/charges/types/mols and a few
-#: study properties) while bounding long multi-property sweeps.
-GATHER_CACHE_MAX = 16
-
 
 @dataclass
 class ClusterPairList:
@@ -101,57 +96,6 @@ class ClusterPairList:
         out = np.full(out_shape, fill, dtype=arr.dtype)
         out[self.real] = arr[self.perm[self.real]]
         return out
-
-    def gather_cached(
-        self,
-        per_particle: np.ndarray,
-        fill: float = 0.0,
-        dtype: np.dtype | type | None = None,
-    ) -> np.ndarray:
-        """Memoised :meth:`gather` for step-invariant per-particle arrays.
-
-        Charges, type ids, and molecule ids never change between pair-list
-        rebuilds, yet the force path re-gathered them every step.  The memo
-        is keyed on the source array's identity (plus dtype/fill), lives on
-        this list instance, and therefore dies with it at the next rebuild —
-        the invalidation rule of DESIGN.md §8.  Returned arrays are marked
-        read-only: they are shared across steps, so an accidental in-place
-        edit must fail loudly instead of corrupting later steps.
-
-        Only use for arrays that are immutable for the lifetime of this
-        list (positions must keep going through :meth:`current_positions`).
-        """
-        key = (
-            id(per_particle),
-            None if dtype is None else np.dtype(dtype).str,
-            float(fill),
-        )
-        cache = self.__dict__.setdefault("_gather_cache", {})
-        out = cache.get(key)
-        if out is None:
-            # Bounded FIFO: a long multi-property sweep against one
-            # long-lived list cannot grow the memo without limit.
-            while len(cache) >= GATHER_CACHE_MAX:
-                cache.pop(next(iter(cache)))
-            out = self.gather(per_particle, fill)
-            if dtype is not None and out.dtype != np.dtype(dtype):
-                out = out.astype(dtype)
-            out.setflags(write=False)
-            cache[key] = out
-        return out
-
-    def invalidate(self) -> None:
-        """Drop memoised gathers and lane panels.  `StepCache.invalidate`
-        calls this for every pinned list, so the rebuild/restore
-        invalidation rule of DESIGN.md §8 covers these memos too."""
-        self.__dict__.pop("_gather_cache", None)
-        self.release_panels()
-
-    def release_panels(self) -> None:
-        """Drop the memoised short-range lane panels
-        (`repro.core.vectorized`), keeping the gathers.  For a list that
-        will not be evaluated at new positions again."""
-        self.__dict__.pop("_panel_cache", None)
 
     def scatter_add(self, target: np.ndarray, sorted_values: np.ndarray) -> None:
         """Accumulate sorted-slot values back into original particle order."""

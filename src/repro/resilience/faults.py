@@ -29,7 +29,7 @@ and trace change.  That invariant is what the resilience tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from repro.core.stepcache import StepCache, position_fingerprint
+from repro.parallel.pool import ArenaHandle
 
 #: Request kinds.
 KIND_KERNEL = "kernel"
@@ -444,25 +445,68 @@ class BatchOutcome:
     resident: dict = field(default_factory=dict)
 
 
+@dataclass
+class ResidentEntry:
+    """One built system: everything a kernel batch needs.
+
+    The resident path (`repro.serve.residency`) keeps entries in an LRU
+    across batches; the cold path builds one per system key and drops it
+    after the batch.
+    """
+
+    system: object
+    nb: object
+    plist: object
+    cache: StepCache
+    positions_fp: bytes
+
+
+def build_entry(request: JobRequest) -> ResidentEntry:
+    """Build ``request``'s system, pair list and a fresh `StepCache`."""
+    from repro.md.pairlist import build_pair_list
+
+    system, nb = _build_request_system(request)
+    return ResidentEntry(
+        system=system,
+        nb=nb,
+        plist=build_pair_list(system, nb.r_list),
+        cache=StepCache(),
+        positions_fp=position_fingerprint(system.positions),
+    )
+
+
 def execute_batch(
     requests: tuple[JobRequest, ...],
     progress_paths: dict[str, str] | None = None,
+    entry_for=build_entry,
+    arena: ArenaHandle | None = None,
 ) -> BatchOutcome:
     """Execute a batch of *distinct* requests on one worker.
 
     Kernel requests sharing a :attr:`JobRequest.system_key` share one
-    system build, one pair list, and one :class:`StepCache`, so the
-    functional short-range evaluation runs once per (work list,
-    positions) — identical sharing, and therefore identical results, to
-    `run_strategy_sweep` (bit-identity is test-enforced there and
-    re-asserted against the direct path in ``tests/serve/``).  MD and
-    non-matching requests execute independently.
+    :class:`ResidentEntry` — one system build, one pair list, and one
+    :class:`StepCache` — so the functional short-range evaluation runs
+    once per (work list, positions): identical sharing, and therefore
+    identical results, to `run_strategy_sweep` (bit-identity is
+    test-enforced there and re-asserted against the direct path in
+    ``tests/serve/``).  MD and non-matching requests execute
+    independently.
+
+    ``entry_for(request)`` supplies each group's entry: `build_entry` on
+    the cold path (the entry is dropped after the batch), the resident
+    LRU's ``get_or_build`` on the resident one
+    (`repro.serve.residency.execute_batch_with`).  A group's lane panels
+    are released once the group is done, and the counters report only
+    this batch's StepCache evaluations and hits.
 
     ``progress_paths`` (fingerprint → file path) threads per-unit
     progress files into MD executions for the ``progress`` wire op.
+    With ``arena``, requested force blocks are packed into the
+    shared-memory arena and payloads carry small ``forces_ref``
+    descriptors instead of arrays (overflow falls back to in-payload
+    arrays — slower, never wrong).
     """
     from repro.core.kernels import ALL_SPECS, run_kernel
-    from repro.md.pairlist import build_pair_list
 
     payloads: list[dict | None] = [None] * len(requests)
     cache_stats = {"sr_evals": 0, "sr_hits": 0}
@@ -477,23 +521,49 @@ def execute_batch(
                 req, progress=_progress_writer(req, progress_paths)
             )
 
+    force_blocks: list[tuple[int, np.ndarray]] = []
     for indices in groups.values():
-        first = requests[indices[0]]
-        system, nb = _build_request_system(first)
-        plist = build_pair_list(system, nb.r_list)
-        cache = StepCache()
+        entry = entry_for(requests[indices[0]])
+        sr_evals0 = entry.cache.stats.sr_evals
+        sr_hits0 = entry.cache.stats.sr_hits
         for idx in indices:
             req = requests[idx]
             result = run_kernel(
-                system, plist, nb, ALL_SPECS[req.kernel_spec_name], cache=cache
+                entry.system,
+                entry.plist,
+                entry.nb,
+                ALL_SPECS[req.kernel_spec_name],
+                cache=entry.cache,
             )
             payloads[idx] = _kernel_payload(result, result.forces)
             if req.return_forces:
-                payloads[idx]["forces"] = np.ascontiguousarray(result.forces)
-        cache_stats["sr_evals"] += cache.stats.sr_evals
-        cache_stats["sr_hits"] += cache.stats.sr_hits
+                force_blocks.append((idx, result.forces))
+        entry.cache.release_panels()
+        cache_stats["sr_evals"] += entry.cache.stats.sr_evals - sr_evals0
+        cache_stats["sr_hits"] += entry.cache.stats.sr_hits - sr_hits0
 
+    _attach_forces(payloads, force_blocks, arena)
     return BatchOutcome(payloads=list(payloads), cache_stats=cache_stats)
+
+
+def _attach_forces(
+    payloads: list,
+    force_blocks: list[tuple[int, np.ndarray]],
+    arena: ArenaHandle | None,
+) -> None:
+    """Attach requested force arrays: arena refs when they fit, inline
+    ndarrays otherwise (the caller JSON-sanitises at wire boundaries)."""
+    if not force_blocks:
+        return
+    refs = None
+    if arena is not None:
+        refs = arena.pack([forces for _, forces in force_blocks])
+    if refs is not None:
+        for (idx, _), ref in zip(force_blocks, refs):
+            payloads[idx]["forces_ref"] = ref
+    else:
+        for idx, forces in force_blocks:
+            payloads[idx]["forces"] = np.ascontiguousarray(forces)
 
 
 def _progress_writer(request: JobRequest, progress_paths: dict | None):

@@ -38,20 +38,17 @@ process already holding it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-import numpy as np
-
-from repro.core.stepcache import StepCache, position_fingerprint
+from repro.core.stepcache import position_fingerprint
 from repro.parallel.pool import ArenaHandle
 from repro.serve.jobs import (
     KIND_KERNEL,
     BatchOutcome,
     JobRequest,
-    _build_request_system,
-    _kernel_payload,
-    _progress_writer,
-    execute_md_request,
+    ResidentEntry,
+    build_entry,
+    execute_batch,
 )
 
 #: Default bound on resident systems per worker process.  Entries are a
@@ -77,18 +74,6 @@ def config_fingerprint() -> tuple:
 def resident_key(request: JobRequest) -> tuple:
     """LRU key for ``request``: system identity x process config."""
     return (request.system_key, config_fingerprint())
-
-
-@dataclass
-class ResidentEntry:
-    """One warm system: everything a kernel batch needs, pre-built."""
-
-    system: object
-    nb: object
-    plist: object
-    cache: StepCache
-    positions_fp: bytes
-    hits: int = 0
 
 
 @dataclass
@@ -122,7 +107,7 @@ class ResidentCache:
       rebuilds cold.  Residency can go *slow*, never *wrong*.
     * **LRU pressure** — exceeding ``capacity`` evicts the
       least-recently-used entry and invalidates its `StepCache` (which
-      also drops the pair list's gather memo).
+      holds every memo derived from the entry's pair list).
     * **process death** — entries live in worker memory only; a lane
       crash discards the process and the next batch rebuilds cold
       (test-enforced in tests/serve/test_residency.py).
@@ -164,11 +149,10 @@ class ResidentCache:
                 del self._entries[key]
                 self._entries[key] = entry
                 self.stats.hits += 1
-                entry.hits += 1
                 return entry
 
         self.stats.misses += 1
-        entry = self._build(request)
+        entry = build_entry(request)
         self.stats.builds += 1
         self._entries[key] = entry
         self._evict_over_capacity()
@@ -186,19 +170,6 @@ class ResidentCache:
         return dropped
 
     # -- internals ---------------------------------------------------------
-    def _build(self, request: JobRequest) -> ResidentEntry:
-        from repro.md.pairlist import build_pair_list
-
-        system, nb = _build_request_system(request)
-        plist = build_pair_list(system, nb.r_list)
-        return ResidentEntry(
-            system=system,
-            nb=nb,
-            plist=plist,
-            cache=StepCache(),
-            positions_fp=position_fingerprint(system.positions),
-        )
-
     def _drop(self, key: tuple) -> None:
         entry = self._entries.pop(key)
         entry.cache.invalidate()
@@ -208,11 +179,6 @@ class ResidentCache:
             oldest = next(iter(self._entries))
             self._drop(oldest)
             self.stats.evictions += 1
-
-    def stats_dict(self) -> dict[str, int]:
-        out = self.stats.as_dict()
-        out["resident_occupancy"] = len(self._entries)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +203,6 @@ def process_resident_cache(
     elif _PROCESS_CACHE.capacity != capacity:
         _PROCESS_CACHE.set_capacity(capacity)
     return _PROCESS_CACHE
-
-
-def reset_process_cache() -> None:
-    """Drop this process's resident cache (tests / worker recycling)."""
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is not None:
-        _PROCESS_CACHE.invalidate()
-    _PROCESS_CACHE = None
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +238,7 @@ def lane_for_system(system_key: tuple, lane_count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Resident batch execution (pool-mappable, mirrors jobs.execute_batch)
+# Resident batch execution (pool-mappable; jobs.execute_batch fed by the LRU)
 # ---------------------------------------------------------------------------
 
 
@@ -300,86 +258,25 @@ def execute_batch_with(
     progress_paths: dict | None = None,
     arena: ArenaHandle | None = None,
 ) -> BatchOutcome:
-    """Execute a batch against ``cache`` (resident twin of
-    `repro.serve.jobs.execute_batch`).
+    """Execute a batch against ``cache``: `repro.serve.jobs.execute_batch`
+    fed entries from the LRU instead of cold builds.
 
-    Payloads are bit-identical to the cold path: residency reuses the
-    exact sharing `execute_batch` already had (one system / pair list /
-    `StepCache` per system-key group), only across *batches* instead of
-    within one.  Counters are reported as **per-batch deltas** — a warm
-    `StepCache` accumulates over its lifetime, and the service sums
-    outcome stats per batch.
-
-    When ``arena`` is given, requested force blocks are packed into the
-    shared-memory arena and payloads carry small ``forces_ref``
-    descriptors instead of pickled arrays (overflow falls back to
-    in-payload arrays — slower, never wrong).
+    Payloads are therefore bit-identical to the cold path: residency
+    reuses the same sharing (one system / pair list / `StepCache` per
+    system-key group), only across *batches* instead of within one.
+    Resident counters are reported as **per-batch deltas** (the service
+    sums outcome stats per batch), alongside the worker's occupancy and
+    capacity.
     """
-    from repro.core.kernels import ALL_SPECS, run_kernel
-
-    payloads: list[dict | None] = [None] * len(requests)
-
-    groups: dict[tuple, list[int]] = {}
-    for idx, req in enumerate(requests):
-        if req.kind == KIND_KERNEL:
-            groups.setdefault(req.system_key, []).append(idx)
-        else:
-            payloads[idx] = execute_md_request(
-                req, progress=_progress_writer(req, progress_paths)
-            )
-
     stats0 = cache.stats.as_dict()
-    cache_stats = {"sr_evals": 0, "sr_hits": 0}
-    force_blocks: list[tuple[int, np.ndarray]] = []
-    for indices in groups.values():
-        entry = cache.get_or_build(requests[indices[0]])
-        sr_evals0 = entry.cache.stats.sr_evals
-        sr_hits0 = entry.cache.stats.sr_hits
-        for idx in indices:
-            req = requests[idx]
-            result = run_kernel(
-                entry.system,
-                entry.plist,
-                entry.nb,
-                ALL_SPECS[req.kernel_spec_name],
-                cache=entry.cache,
-            )
-            payloads[idx] = _kernel_payload(result, result.forces)
-            if getattr(req, "return_forces", False):
-                force_blocks.append((idx, result.forces))
-        entry.cache.release_panels()
-        cache_stats["sr_evals"] += entry.cache.stats.sr_evals - sr_evals0
-        cache_stats["sr_hits"] += entry.cache.stats.sr_hits - sr_hits0
-
-    _attach_forces(payloads, force_blocks, arena)
-
-    stats1 = cache.stats.as_dict()
-    for key, val in stats1.items():
-        cache_stats[key] = val - stats0[key]
-    resident = {"occupancy": len(cache), "capacity": cache.capacity}
-    return BatchOutcome(
-        payloads=list(payloads), cache_stats=cache_stats, resident=resident
+    outcome = execute_batch(
+        requests, progress_paths, entry_for=cache.get_or_build, arena=arena
     )
-
-
-def _attach_forces(
-    payloads: list,
-    force_blocks: list[tuple[int, np.ndarray]],
-    arena: ArenaHandle | None,
-) -> None:
-    """Attach requested force arrays: arena refs when they fit, inline
-    ndarrays otherwise (the caller JSON-sanitises at wire boundaries)."""
-    if not force_blocks:
-        return
-    refs = None
-    if arena is not None:
-        refs = arena.pack([forces for _, forces in force_blocks])
-    if refs is not None:
-        for (idx, _), ref in zip(force_blocks, refs):
-            payloads[idx]["forces_ref"] = ref
-    else:
-        for idx, forces in force_blocks:
-            payloads[idx]["forces"] = np.ascontiguousarray(forces)
+    for key, val in cache.stats.as_dict().items():
+        outcome.cache_stats[key] = val - stats0[key]
+    return replace(
+        outcome, resident={"occupancy": len(cache), "capacity": cache.capacity}
+    )
 
 
 def execute_batch_resident(task: ResidentBatchTask) -> BatchOutcome:

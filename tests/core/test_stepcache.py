@@ -22,7 +22,6 @@ from repro.core.stepcache import (
 )
 from repro.core.strategies import STRATEGY_LADDER, run_ladder
 from repro.hw.params import DEFAULT_PARAMS
-from repro.md.forces import compute_short_range
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import build_pair_list
 from repro.md.water import build_water_system
@@ -128,14 +127,15 @@ class TestCacheSemantics:
             moved.positions = moved.positions + 1e-7
             cache.short_range(moved, plist, nb, dtype=np.float32)
         assert cache.stats.sr_evals == 4
-        assert len(cache._state) == 1
+        (memo,) = cache._memos.values()
+        assert len(memo.state) == 1
 
     def test_invalidate_clears_everything(self, water, plist, nb):
         cache = StepCache()
         cache.short_range(water, plist, nb, dtype=np.float32)
         cache.partitions(plist, DEFAULT_PARAMS.n_cpes)
         cache.invalidate()
-        assert not cache._state and not cache._topo and not cache._plists
+        assert not cache._memos
         assert cache.stats.invalidations == 1
         cache.short_range(water, plist, nb, dtype=np.float32)
         assert cache.stats.sr_evals == 2
@@ -169,25 +169,32 @@ class TestCacheSemantics:
 
 
 class TestGatherReuse:
+    """Lane data gathered once per list (the memo's valid lanes and
+    compact panels) gives the same results as a reuse-off evaluation,
+    also once the positions have moved; `release_panels` drops only the
+    panels."""
+
     def test_reuse_on_off_bit_identical(self, water, plist, nb):
-        on = compute_short_range(water, plist, nb, reuse_gathers=True)
-        off = compute_short_range(water, plist, nb, reuse_gathers=False)
-        assert np.array_equal(on.forces, off.forces)
-        assert on.energy == off.energy
-        assert on.virial == off.virial
+        cache = StepCache()
+        moved = water.copy()
+        for _ in range(2):
+            on = cache.short_range(moved, plist, nb)
+            off = NullStepCache().short_range(moved, plist, nb)
+            assert np.array_equal(on.forces, off.forces)
+            assert on.energy == off.energy
+            assert on.virial == off.virial
+            moved.positions = moved.positions + 1e-4
+        assert cache.stats.sr_evals == 2
 
-    def test_cached_gathers_are_readonly(self, water, plist):
-        q = plist.gather_cached(water.charges)
-        with pytest.raises(ValueError):
-            q[0] = 99.0
-
-    def test_gather_cache_dies_with_list(self, water, nb):
-        """Rebuilding the list naturally invalidates the gather memo."""
-        pl1 = build_pair_list(water, nb.r_list)
-        q1 = pl1.gather_cached(water.charges)
-        pl2 = build_pair_list(water, nb.r_list)
-        q2 = pl2.gather_cached(water.charges)
-        assert q1 is not q2
+    def test_release_panels_keeps_results(self, water, plist, nb):
+        cache = StepCache()
+        a = cache.short_range(water, plist, nb, impl="vectorized")
+        (memo,) = cache._memos.values()
+        assert memo.panels
+        cache.release_panels()
+        assert not memo.panels
+        assert cache.short_range(water, plist, nb, impl="vectorized") is a
+        assert cache.stats.sr_hits == 1
 
 
 class TestDriverBitIdentity:
@@ -203,10 +210,11 @@ class TestDriverBitIdentity:
             cfg = EngineConfig(
                 nonbonded=nb,
                 integrator=IntegratorConfig(thermostat="berendsen"),
-                step_reuse=reuse,
                 report_interval=2,
             )
             eng = SWGromacsEngine(water.copy(), cfg)
+            if not reuse:
+                eng.stepcache = NullStepCache()
             results[reuse] = eng.run(12)
         on, off = results[True], results[False]
         assert np.array_equal(on.system.positions, off.system.positions)
@@ -227,10 +235,12 @@ class TestDriverBitIdentity:
             cfg = MdConfig(
                 nonbonded=nb,
                 integrator=IntegratorConfig(thermostat="berendsen"),
-                step_reuse=reuse,
                 report_interval=2,
             )
-            results[reuse] = MdLoop(water.copy(), cfg).run(12)
+            loop = MdLoop(water.copy(), cfg)
+            if not reuse:
+                loop.stepcache = NullStepCache()
+            results[reuse] = loop.run(12)
         on, off = results[True], results[False]
         assert np.array_equal(on.system.positions, off.system.positions)
         assert np.array_equal(on.system.velocities, off.system.velocities)
@@ -250,3 +260,77 @@ class TestDriverBitIdentity:
         # At each rebuild step the kernel model's evaluation is shared
         # with the step loop (one hit per rebuild).
         assert eng.stepcache.stats.sr_hits >= 3
+
+
+class TestNoOldListPinnedAtBuild:
+    """When the engine or `MdLoop` builds its next pair list, its
+    StepCache pins no memo of the old one, so the old lane panels are
+    freed before the new ones exist — during `run`, in the minimiser,
+    and after `restore`."""
+
+    NB = NonbondedParams(r_cut=0.75, r_list=0.85, coulomb_mode="rf", nstlist=5)
+
+    @staticmethod
+    def _watch(monkeypatch, module, caches):
+        """Patch ``module.build_pair_list`` to record, per build, how
+        many list memos the StepCaches ``caches()`` still hold."""
+        real = module.build_pair_list
+        pinned = []
+
+        def build(*args, **kwargs):
+            pinned.append(sum(len(c._memos) for c in caches()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_pair_list", build)
+        return pinned
+
+    def _run_restore_run(self, md):
+        md.run(7)  # builds at steps 0 and 5
+        ckpt = md.checkpoint()
+        assert md.stepcache._memos
+        md.restore(ckpt)
+        assert not md.stepcache._memos
+        md.run(12)  # rebuilds the step-5 list at 7, then builds at 10
+
+    def test_engine(self, water, monkeypatch):
+        import repro.core.engine as engine_mod
+
+        eng = engine_mod.SWGromacsEngine(
+            water.copy(), engine_mod.EngineConfig(nonbonded=self.NB)
+        )
+        pinned = self._watch(monkeypatch, engine_mod, lambda: [eng.stepcache])
+        self._run_restore_run(eng)
+        assert pinned == [0, 0, 0, 0]
+
+    def test_mdloop(self, water, monkeypatch):
+        import repro.md.mdloop as mdloop
+
+        loop = mdloop.MdLoop(water.copy(), mdloop.MdConfig(nonbonded=self.NB))
+        pinned = self._watch(monkeypatch, mdloop, lambda: [loop.stepcache])
+        self._run_restore_run(loop)
+        assert pinned == [0, 0, 0, 0]
+
+    def test_minimiser(self, water, monkeypatch):
+        import importlib
+
+        import repro.md.mdloop as mdloop
+
+        # `repro.md` re-exports the function under the module's name.
+        minimize_mod = importlib.import_module("repro.md.minimize")
+        loops = []
+
+        class RecordingLoop(mdloop.MdLoop):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                loops.append(self)
+
+        monkeypatch.setattr(minimize_mod, "MdLoop", RecordingLoop)
+        pinned = self._watch(
+            monkeypatch, mdloop, lambda: [lp.stepcache for lp in loops]
+        )
+        minimize_mod.minimize(
+            water.copy(), mdloop.MdConfig(nonbonded=self.NB), n_steps=4
+        )
+        assert len(loops) == 1
+        assert len(pinned) >= 2
+        assert not any(pinned)

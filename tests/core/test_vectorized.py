@@ -210,10 +210,11 @@ class TestPerStepPath:
         system = build_water_system(600, seed=2019)
         params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode=mode)
         plist = build_pair_list(system, params.r_list, half=half)
+        panels = {}  # the list's panel memo, kept across the steps
         for it in range(4):
             ref = compute_short_range(system, plist, params, dtype=dtype)
             res = compute_short_range_vectorized(
-                system, plist, params, dtype=dtype
+                system, plist, params, dtype=dtype, panels=panels
             )
             assert np.array_equal(ref.forces, res.forces), (mode, half, it)
             assert ref.energy == res.energy
@@ -278,9 +279,11 @@ class TestPairTermsCompact:
         assert not e.any()
 
 
-def _assert_same_step(system, plist, params, dtype):
+def _assert_same_step(system, plist, params, dtype, panels):
     ref = compute_short_range(system, plist, params, dtype=dtype)
-    res = compute_short_range_vectorized(system, plist, params, dtype=dtype)
+    res = compute_short_range_vectorized(
+        system, plist, params, dtype=dtype, panels=panels
+    )
     assert np.array_equal(ref.forces, res.forces)
     assert ref.energy == res.energy
     assert ref.virial == res.virial
@@ -315,17 +318,21 @@ class TestLaneBlocks:
         system.positions = rng.uniform(0.0, 1.0, lattice.shape) * (
             system.box.array
         )
-        _assert_same_step(system, plist, params, dtype)
-        cp = compact_panels(system, plist, params, dtype=dtype)
+        panels = {}
+        _assert_same_step(system, plist, params, dtype, panels)
+        cp = compact_panels(system, plist, params, dtype=dtype, panels=panels)
         assert cp.static_shift is static
         cap = cp.cap
         system.positions = lattice.copy()
-        _assert_same_step(system, plist, params, dtype)
-        assert compact_panels(system, plist, params, dtype=dtype) is cp
+        _assert_same_step(system, plist, params, dtype, panels)
+        assert (
+            compact_panels(system, plist, params, dtype=dtype, panels=panels)
+            is cp
+        )
         assert cp.n_kept > cap
         # Small drift: served from the re-anchored panels.
         system.positions = lattice + rng.normal(0.0, 0.004, lattice.shape)
-        _assert_same_step(system, plist, params, dtype)
+        _assert_same_step(system, plist, params, dtype, panels)
 
 
 def _traced(fn):
@@ -367,12 +374,13 @@ class TestPanelMemory:
             )
         )
         plist = build_pair_list(system, params.r_list)
+        panels = {}
         peak, _ = _traced(
             lambda: compute_short_range_vectorized(
-                system, plist, params, dtype=dtype
+                system, plist, params, dtype=dtype, panels=panels
             )
         )
-        _, freed = _traced(plist.release_panels)
+        _, freed = _traced(panels.clear)
         assert peak <= 1.25 * ref_peak, (peak, ref_peak)
         assert -freed <= ref_peak, (-freed, ref_peak)
 
@@ -421,8 +429,7 @@ class TestEngineParity:
             engine = SWGromacsEngine(
                 system,
                 EngineConfig(
-                    nonbonded=nb, step_reuse=True, kernel_impl=impl,
-                    report_interval=3,
+                    nonbonded=nb, kernel_impl=impl, report_interval=3
                 ),
             )
             res = engine.run(12)

@@ -217,44 +217,3 @@ class TestVectorizedOracles:
         if not _pair_list_covers_scalar(plist, far):
             assert not pair_list_covers(plist, far)
         assert pair_list_covers(plist, set()) is True
-
-
-class TestGatherCacheBound:
-    def test_memo_is_bounded_fifo(self, plist_water_small):
-        from repro.md.pairlist import GATHER_CACHE_MAX
-
-        plist = plist_water_small
-        plist.invalidate()
-        n = plist_water_small.perm.max() + 1
-        arrays = [
-            np.full(n, float(k)) for k in range(GATHER_CACHE_MAX + 5)
-        ]
-        for arr in arrays:
-            plist.gather_cached(arr)
-        cache = plist.__dict__["_gather_cache"]
-        assert len(cache) == GATHER_CACHE_MAX
-        # FIFO: the oldest entries were evicted, the newest survive.
-        assert (id(arrays[0]), None, 0.0) not in cache
-        assert (id(arrays[-1]), None, 0.0) in cache
-        plist.invalidate()
-
-    def test_invalidate_drops_memo(self, plist_water_small):
-        plist = plist_water_small
-        arr = np.arange(float(plist.perm.max() + 1))
-        first = plist.gather_cached(arr)
-        assert plist.gather_cached(arr) is first
-        plist.invalidate()
-        assert "_gather_cache" not in plist.__dict__
-        again = plist.gather_cached(arr)
-        assert again is not first
-        np.testing.assert_array_equal(again, first)
-        plist.invalidate()
-
-    def test_cached_results_read_only_and_equal_gather(self, plist_water_small):
-        plist = plist_water_small
-        arr = np.arange(float(plist.perm.max() + 1))
-        out = plist.gather_cached(arr, fill=-1.0)
-        np.testing.assert_array_equal(out, plist.gather(arr, fill=-1.0))
-        with pytest.raises(ValueError):
-            out[0] = 99.0
-        plist.invalidate()

@@ -17,8 +17,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core.vectorized import PANEL_CACHE_ATTR
-from repro.parallel.pool import PoolBackend, SerialBackend, WorkerCrashError
+from repro.parallel.pool import PoolBackend, WorkerCrashError
 from repro.serve.jobs import JobRequest, execute_batch, execute_request
 from repro.serve.residency import (
     ResidentBatchTask,
@@ -198,23 +197,23 @@ class TestPanelRelease:
         monkeypatch.setenv("REPRO_KERNEL", "vectorized")
         cache = ResidentCache(capacity=4)
 
-        def resident_lists():
+        def list_memos():
             return [
-                plist
+                memo
                 for entry in cache._entries.values()
-                for plist in entry.cache._plists.values()
+                for memo in entry.cache._memos.values()
             ]
 
         warmup_with(cache, req(seed=1))
-        assert len(resident_lists()) == 1
-        assert not any(PANEL_CACHE_ATTR in pl.__dict__ for pl in resident_lists())
+        assert len(list_memos()) == 1
+        assert not any(memo.panels for memo in list_memos())
         # RCA evaluates the mirrored full list, a second pinned list.
         outcome = execute_batch_with(
             cache, (req(seed=1, spec="RCA"), req(seed=2))
         )
         assert outcome.cache_stats["sr_evals"] == 2
-        assert len(resident_lists()) == 3
-        assert not any(PANEL_CACHE_ATTR in pl.__dict__ for pl in resident_lists())
+        assert len(list_memos()) == 3
+        assert not any(memo.panels for memo in list_memos())
 
 
 # ---------------------------------------------------------------------------
