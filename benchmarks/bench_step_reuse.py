@@ -21,8 +21,10 @@ acceptance floor (1.5x) and within 20 % of the committed baseline.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro.core.kernels import ALL_SPECS, run_kernel, run_strategy_sweep
 from repro.core.stepcache import NullStepCache
@@ -106,9 +108,7 @@ class _StepStamps:
         self.t[steps_done] = time.perf_counter()
 
 
-def _engine_run_stamps(
-    n_particles: int, kernel_impl: str
-) -> tuple[float, dict[int, float]]:
+def _engine_run_stamps(n_particles: int) -> tuple[float, dict[int, float]]:
     """One fresh-engine run of ``N_MD_STEPS``; per-step time stamps.
 
     The engine is freed (and the cycle collector run) before returning:
@@ -120,10 +120,7 @@ def _engine_run_stamps(
     from repro.core.engine import EngineConfig, SWGromacsEngine
 
     system = build_water_system(n_particles, seed=SEED)
-    engine = SWGromacsEngine(
-        system,
-        EngineConfig(nonbonded=_nb(), kernel_impl=kernel_impl),
-    )
+    engine = SWGromacsEngine(system, EngineConfig(nonbonded=_nb()))
     stamps = _StepStamps()
     t0 = time.perf_counter()
     engine.run(N_MD_STEPS, progress=stamps)
@@ -149,7 +146,9 @@ def measure_engine_steps_per_sec(
     lo, hi = STEADY_WINDOW
     best: dict | None = None
     for _ in range(reps):
-        t0, t = _engine_run_stamps(n_particles, kernel_impl)
+        # REPRO_KERNEL selects the impl; the previous value is restored.
+        with mock.patch.dict(os.environ, REPRO_KERNEL=kernel_impl):
+            t0, t = _engine_run_stamps(n_particles)
         row = {
             "n_particles": int(n_particles),
             "kernel_impl": kernel_impl,

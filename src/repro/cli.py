@@ -23,7 +23,10 @@ Commands mirror the paper's experiments:
 Every command accepts ``--backend serial|pool`` and ``--workers N``
 (before the subcommand) to pick the host execution backend; the
 ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment variables are the
-fallback (DESIGN.md §9).
+fallback (DESIGN.md §9).  The short-range kernel has no flag: the
+``REPRO_KERNEL`` environment variable alone selects the scalar
+bit-identity reference, for every command and every process they
+spawn (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -51,12 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", choices=sorted(BACKEND_NAMES), default=None,
         help="host execution backend (default: $REPRO_BACKEND or serial)",
-    )
-    parser.add_argument(
-        "--kernel", choices=("scalar", "vectorized"), default=None,
-        help="short-range kernel implementation: 'vectorized' is the "
-        "batched fast path, 'scalar' the bit-identity reference "
-        "(default: $REPRO_KERNEL or vectorized)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -144,26 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the long-lived simulation service (drain to stop)",
     )
     _add_address_args(serve)
-    serve.add_argument(
-        "--max-depth", type=int, default=64, metavar="N",
-        help="admission window: total queued jobs (default: 64)",
-    )
-    serve.add_argument(
-        "--max-per-tenant", type=int, default=None, metavar="N",
-        help="per-tenant queued-job cap (default: none)",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=16, metavar="N",
-        help="max distinct requests coalesced per dispatch (default: 16)",
-    )
-    serve.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="concurrent batches (default: backend worker count)",
-    )
-    serve.add_argument(
-        "--no-dedup", action="store_true",
-        help="disable request dedup/batching (ablation baseline)",
-    )
+    _add_serve_args(serve)
     serve.add_argument(
         "--trace", metavar="FILE", default=None,
         help="write a Chrome-trace service timeline to FILE on drain",
@@ -217,26 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--heartbeat-interval", type=float, default=1.0, metavar="SECONDS",
         help="heartbeat period (default: 1)",
     )
-    worker.add_argument(
-        "--max-depth", type=int, default=64, metavar="N",
-        help="admission window: total queued jobs (default: 64)",
-    )
-    worker.add_argument(
-        "--max-per-tenant", type=int, default=None, metavar="N",
-        help="per-tenant queued-job cap (default: none)",
-    )
-    worker.add_argument(
-        "--max-batch", type=int, default=16, metavar="N",
-        help="max distinct requests coalesced per dispatch (default: 16)",
-    )
-    worker.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="concurrent batches (default: backend worker count)",
-    )
-    worker.add_argument(
-        "--no-dedup", action="store_true",
-        help="disable request dedup/batching (ablation baseline)",
-    )
+    _add_serve_args(worker)
     _add_resident_args(worker)
     _add_durable_args(worker)
 
@@ -372,6 +331,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_serve_args(parser) -> None:
+    parser.add_argument(
+        "--max-depth", type=int, default=64, metavar="N",
+        help="admission window: total queued jobs (default: 64)",
+    )
+    parser.add_argument(
+        "--max-per-tenant", type=int, default=None, metavar="N",
+        help="per-tenant queued-job cap (default: none)",
+    )
+    parser.add_argument(
+        "--max-batch", type=int, default=16, metavar="N",
+        help="max distinct requests coalesced per dispatch (default: 16)",
+    )
+    parser.add_argument(
+        "--max-inflight", type=int, default=None, metavar="N",
+        help="concurrent batches (default: backend worker count)",
+    )
+    parser.add_argument(
+        "--no-dedup", action="store_true",
+        help="disable request dedup/batching (ablation baseline)",
+    )
+
+
 def _add_resident_args(parser) -> None:
     parser.add_argument(
         "--no-resident", action="store_true",
@@ -406,6 +388,27 @@ def _add_durable_args(parser) -> None:
         "--journal-fsync", action="store_true",
         help="fsync every journal record (power-loss strictness; the "
         "default flush-per-record already survives kill -9)",
+    )
+
+
+def _serve_config(args):
+    """The `ServeConfig` the serve and fleet-worker flags describe."""
+    from repro.serve import ServeConfig
+
+    return ServeConfig(
+        max_depth=args.max_depth,
+        max_per_tenant=args.max_per_tenant,
+        max_batch=args.max_batch,
+        max_inflight=args.max_inflight,
+        dedup=not args.no_dedup,
+        backend=args.backend,
+        workers=args.workers,
+        journal_dir=args.journal_dir,
+        result_store_max=args.result_store_max,
+        journal_fsync=args.journal_fsync,
+        resident=not args.no_resident,
+        resident_capacity=args.resident_capacity,
+        arena_bytes=args.arena_bytes,
     )
 
 
@@ -458,8 +461,6 @@ def _cmd_run(args) -> int:
             backend=args.backend,
             workers=args.workers,
         )
-        if args.kernel is not None:
-            overrides["kernel_impl"] = args.kernel
         config = engine_config_for(spec, **overrides)
     else:
         nb = NonbondedParams(
@@ -475,7 +476,6 @@ def _cmd_run(args) -> int:
             resilience=policy,
             backend=args.backend,
             workers=args.workers,
-            kernel_impl=args.kernel,
         )
     engine = SWGromacsEngine(system, config)
     if args.restart:
@@ -528,7 +528,6 @@ def _cmd_trace(args) -> int:
         resilience=ResiliencePolicy(faults=args.faults),
         backend=args.backend,
         workers=args.workers,
-        kernel_impl=args.kernel,
     )
     tracer = Tracer(config.chip)
     engine = SWGromacsEngine(system, config, tracer=tracer)
@@ -659,7 +658,6 @@ def _cmd_ranks(args) -> int:
         resilience=ResiliencePolicy(faults=args.faults),
         backend=args.backend,
         workers=args.workers,
-        kernel_impl=args.kernel,
     )
     result = run_mpi_ranks(
         system,
@@ -710,28 +708,14 @@ def _cmd_ttf(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.serve import ServeConfig, SimulationService
+    from repro.serve import SimulationService
     from repro.trace import Tracer, write_chrome_trace
     from repro.trace.events import NULL_TRACER
 
     if args.socket is None and args.port is None:
         print("serve: need --socket PATH or --port N", file=sys.stderr)
         return 2
-    config = ServeConfig(
-        max_depth=args.max_depth,
-        max_per_tenant=args.max_per_tenant,
-        max_batch=args.max_batch,
-        max_inflight=args.max_inflight,
-        dedup=not args.no_dedup,
-        backend=args.backend,
-        workers=args.workers,
-        journal_dir=args.journal_dir,
-        result_store_max=args.result_store_max,
-        journal_fsync=args.journal_fsync,
-        resident=not args.no_resident,
-        resident_capacity=args.resident_capacity,
-        arena_bytes=args.arena_bytes,
-    )
+    config = _serve_config(args)
     tracer = Tracer() if args.trace else NULL_TRACER
 
     async def _main() -> int:
@@ -859,7 +843,6 @@ def _cmd_fleet_worker(args) -> int:
 
     from repro.fleet import FleetWorker, WorkerConfig
     from repro.fleet.wire import Address, parse_address
-    from repro.serve import ServeConfig
 
     if args.socket is None and args.port is None:
         print("fleet-worker: need --socket PATH or --port N", file=sys.stderr)
@@ -873,21 +856,7 @@ def _cmd_fleet_worker(args) -> int:
         name=args.name,
         router=parse_address(args.router),
         address=address,
-        serve=ServeConfig(
-            max_depth=args.max_depth,
-            max_per_tenant=args.max_per_tenant,
-            max_batch=args.max_batch,
-            max_inflight=args.max_inflight,
-            dedup=not args.no_dedup,
-            backend=args.backend,
-            workers=args.workers,
-            journal_dir=args.journal_dir,
-            result_store_max=args.result_store_max,
-            journal_fsync=args.journal_fsync,
-            resident=not args.no_resident,
-            resident_capacity=args.resident_capacity,
-            arena_bytes=args.arena_bytes,
-        ),
+        serve=_serve_config(args),
         heartbeat_interval_s=args.heartbeat_interval,
     )
 

@@ -120,11 +120,6 @@ class EngineConfig:
     #: Worker count for the pool backend (None = ``REPRO_WORKERS`` or
     #: host CPU count).
     workers: int | None = None
-    #: Force-kernel implementation: "vectorized" (pruned-lane panels,
-    #: `repro.core.vectorized`) or "scalar" (the reference loop); None
-    #: resolves ``REPRO_KERNEL``, else vectorized.  Bit-identical
-    #: results — only speed differs.
-    kernel_impl: str | None = None
     #: Constraint solver (GROMACS' ``constraint-algorithm``): "auto"
     #: (SETTLE for pure water, SHAKE otherwise), "settle", "lincs", or
     #: "shake".  Scenario specs (DESIGN.md §15) select this per run.
@@ -226,9 +221,9 @@ class SWGromacsEngine:
         #: Execution backend for fan-out work (process-wide shared
         #: instance when selected by name/env; never closed here).
         self.backend = shared_backend(self.config.backend, self.config.workers)
-        #: Resolved force-kernel implementation for the whole run (env
-        #: lookup happens once, here — not per step).
-        self.kernel_impl = resolve_kernel_impl(self.config.kernel_impl)
+        #: Record of the force-kernel impl ``REPRO_KERNEL`` selected at
+        #: construction; each evaluation resolves it again (DESIGN.md §13).
+        self.kernel_impl = resolve_kernel_impl()
         self.pairlist = None
         self._cached_force_model: KernelResult | None = None
         self._cached_ns_seconds: float | None = None
@@ -410,7 +405,6 @@ class SWGromacsEngine:
             tracer=self.tracer,
             cache=self.stepcache,
             backend=self.backend,
-            impl=self.kernel_impl,
         )
         self._cached_ns_seconds = self._ns_seconds(chip)
         self._add(timing, KERNEL_NEIGHBOR, self._cached_ns_seconds)
@@ -586,8 +580,7 @@ class SWGromacsEngine:
             # evaluated these exact forces — the step cache hands the
             # shared result back instead of recomputing it.
             sr = self.stepcache.short_range(
-                self.system, self.pairlist, cfg.nonbonded, dtype=np.float32,
-                impl=self.kernel_impl,
+                self.system, self.pairlist, cfg.nonbonded, dtype=np.float32
             )
             self._add(timing, KERNEL_FORCE, self._cached_force_model.elapsed_seconds)
             if self._fault_dma is not None:

@@ -192,15 +192,13 @@ def run_kernel(
     tracer: NullTracer = NULL_TRACER,
     cache: StepCache | NullStepCache | None = None,
     backend: ExecutionBackend | None = None,
-    impl: str | None = None,
 ) -> KernelResult:
     """Execute one strategy (fast path): vectorised functional forces +
     trace-driven cost model.
 
-    ``impl`` picks the functional force evaluation (the pruned-lane
-    panels of `repro.core.vectorized` or the scalar reference; None
-    resolves ``REPRO_KERNEL``, else vectorized).  Results are
-    bit-identical either way — the cost model never sees the
+    The functional force evaluation runs the impl ``REPRO_KERNEL``
+    selects (`repro.core.vectorized.compute_short_range_impl`).  Results
+    are bit-identical either way — the cost model never sees the
     difference.
 
     ``backend`` (DESIGN.md §9) fans the per-CPE trace analyses across
@@ -240,9 +238,7 @@ def run_kernel(
         system, plist, Layout.SOA if spec.simd else Layout.AOS, params
     )
 
-    sr = cache.short_range(
-        system, work_list, nb_params, dtype=np.float32, impl=impl
-    )
+    sr = cache.short_range(system, work_list, nb_params, dtype=np.float32)
     m_pairs = work_list.n_cluster_pairs
     tile_pairs = 16 * m_pairs
     breakdown: dict[str, float] = {}
@@ -526,7 +522,6 @@ def run_strategy_sweep(
     tracer: NullTracer = NULL_TRACER,
     cache: StepCache | NullStepCache | None = None,
     backend: str | ExecutionBackend | None = None,
-    impl: str | None = None,
 ) -> dict[str, KernelResult]:
     """Evaluate many strategy rungs against ONE ``(system state, pair
     list)`` — the one-pass ablation API used by bench_fig8/fig9, the
@@ -566,7 +561,6 @@ def run_strategy_sweep(
             tracer=tracer,
             cache=cache,
             backend=backend,
-            impl=impl,
         )
         for spec in resolved
     }
@@ -741,7 +735,6 @@ def run_kernel_sequential(
     n_cpes: int | None = None,
     tracer: NullTracer = NULL_TRACER,
     backend: str | ExecutionBackend | None = None,
-    impl: str | None = None,
 ) -> KernelResult:
     """Walk the pair list cluster-by-cluster through the actual
     DeferredUpdateCache / bitmap / SIMD machinery.
@@ -759,20 +752,21 @@ def run_kernel_sequential(
     others fall back to `run_kernel`.  Returns the same counters the fast
     path derives from trace analysis, letting tests pin the two together.
 
-    ``impl`` selects the walk implementation (``"vectorized"``, the
-    batched replay in `repro.core.vectorized`, or ``"scalar"``, the
-    reference loop; None resolves ``REPRO_KERNEL``, else vectorized).
-    Both produce identical results; only speed differs.
+    The walk runs the impl ``REPRO_KERNEL`` selects (``"vectorized"``,
+    the batched replay in `repro.core.vectorized`, or ``"scalar"``, the
+    reference loop), resolved once here and carried in each task so
+    pool workers need no environment.  Both produce identical results;
+    only speed differs.
     """
     from repro.core.vectorized import resolve_kernel_impl
 
     backend = shared_backend(backend)
-    impl = resolve_kernel_impl(impl)
     if not (spec.write_cache and spec.use_cpes):
         return run_kernel(
             system, plist, nb_params, spec, params, tracer=tracer,
-            backend=backend, impl=impl,
+            backend=backend,
         )
+    impl = resolve_kernel_impl()
     n_cpes = n_cpes or params.n_cpes
     work_list = plist.to_full() if spec.full_list else plist
     packed = PackedParticles.from_pairlist(system, plist, Layout.AOS, params)
@@ -850,9 +844,7 @@ def run_kernel_sequential(
     # instrumentation: passing the live tracer here used to re-emit every
     # kernel span on top of the fidelity events above, so Chrome traces
     # showed each kernel twice.
-    fast = run_kernel(
-        system, plist, nb_params, spec, params, backend=backend, impl=impl
-    )
+    fast = run_kernel(system, plist, nb_params, spec, params, backend=backend)
     return KernelResult(
         name=spec.name + "(seq)",
         forces=forces,

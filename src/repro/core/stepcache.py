@@ -227,35 +227,25 @@ class StepCache:
         plist: ClusterPairList,
         nb_params: NonbondedParams,
         dtype: type = np.float64,
-        impl: str | None = None,
     ) -> ShortRangeResult:
         """One functional force evaluation per (pair list, dtype, positions).
 
         The returned object is shared between callers; nothing in the
         kernel/driver paths mutates it (tests enforce bit-identity of a
-        shared vs. recomputed result).  ``impl`` picks the evaluation
-        implementation (`repro.core.vectorized.resolve_kernel_impl`);
-        both produce identical results, so the resolved name simply
-        joins the key — a scalar and a vectorized caller share entries
-        only when they resolve to the same impl, keeping cache hits
-        trivially impl-consistent.
+        shared vs. recomputed result).  The kernel impl stays out of the
+        key: both impls give bit-identical results (DESIGN.md §13).
         """
-        from repro.core.vectorized import (
-            compute_short_range_impl,
-            resolve_kernel_impl,
-        )
+        from repro.core.vectorized import compute_short_range_impl
 
-        impl = resolve_kernel_impl(impl)
         memo = self._memo(plist)
-        key = ("sr", np.dtype(dtype).str, nb_params, impl)
+        key = ("sr", np.dtype(dtype).str, nb_params)
         fp = position_fingerprint(system.positions)
         hit = memo.state.get(key)
         if hit is not None and hit[0] == fp:
             self.stats.sr_hits += 1
             return hit[1]
         sr = compute_short_range_impl(
-            system, plist, nb_params, dtype=dtype, panels=memo.panels,
-            impl=impl,
+            system, plist, nb_params, dtype=dtype, panels=memo.panels
         )
         memo.state[key] = (fp, sr)
         self.stats.sr_evals += 1
@@ -475,13 +465,11 @@ class NullStepCache:
     def invalidate(self) -> None:
         self.stats.invalidations += 1
 
-    def short_range(self, system, plist, nb_params, dtype=np.float64, impl=None):
+    def short_range(self, system, plist, nb_params, dtype=np.float64):
         from repro.core.vectorized import compute_short_range_impl
 
         self.stats.sr_evals += 1
-        return compute_short_range_impl(
-            system, plist, nb_params, dtype=dtype, impl=impl
-        )
+        return compute_short_range_impl(system, plist, nb_params, dtype=dtype)
 
     def packed(self, system, plist, layout, params=DEFAULT_PARAMS):
         return PackedParticles.from_pairlist(system, plist, layout, params)

@@ -24,11 +24,12 @@ Bit-identity rests on a small set of float32 accumulation identities
 * one ``np.bincount`` over concatenated i/j indices equals two
   sequential ``np.add.at`` calls (per-bin scan order is preserved).
 
-Implementation selection: ``resolve_kernel_impl`` honours an explicit
-argument first, then the ``REPRO_KERNEL`` environment variable, and
-defaults to ``"vectorized"``.  The scalar reference stays selectable
-(``REPRO_KERNEL=scalar``, engine/CLI ``kernel_impl`` / ``--kernel``) as
-the bit-identity oracle the tests compare against.
+Implementation selection: ``REPRO_KERNEL`` is the one switch, read
+only by ``resolve_kernel_impl``; it defaults to ``"vectorized"``, and
+``REPRO_KERNEL=scalar`` selects the reference loops, the bit-identity
+oracle the tests compare against.  ``compute_short_range_impl``
+resolves it on every evaluation; the two impls are bit-identical, so
+no caller, config or cache key needs to name one.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ KERNEL_IMPLS = ("scalar", "vectorized")
 def resolve_kernel_impl(impl: str | None = None) -> str:
     """Resolve a kernel implementation name.
 
-    Explicit argument wins; otherwise the ``REPRO_KERNEL`` environment
-    variable; otherwise ``"vectorized"`` (``"scalar"`` selects the
-    bit-identity reference).
+    An explicit name is validated and returned; None reads the
+    ``REPRO_KERNEL`` environment variable, else ``"vectorized"``
+    (``"scalar"`` selects the bit-identity reference).
     """
     if impl is None:
         impl = os.environ.get("REPRO_KERNEL", "").strip() or "vectorized"
@@ -743,12 +744,11 @@ def compute_short_range_impl(
     dtype: type = np.float64,
     chunk_pairs: int = 65536,
     panels: dict | None = None,
-    impl: str | None = None,
 ) -> ShortRangeResult:
-    """Dispatch a short-range evaluation by implementation name
-    (``panels`` is the vectorized kernel's per-list memo; the scalar
-    reference keeps none)."""
-    if resolve_kernel_impl(impl) == "vectorized":
+    """Dispatch a short-range evaluation to the impl ``REPRO_KERNEL``
+    resolves to now (``panels`` is the vectorized kernel's per-list
+    memo; the scalar reference keeps none)."""
+    if resolve_kernel_impl() == "vectorized":
         return compute_short_range_vectorized(
             system,
             plist,

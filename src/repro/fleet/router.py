@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.fleet.registry import (
     STATE_DEAD,
@@ -128,18 +128,7 @@ class RouterStats:
         self.failed_by_reason[code] = self.failed_by_reason.get(code, 0) + 1
 
     def as_dict(self) -> dict:
-        return {
-            "routed": self.routed,
-            "completed": self.completed,
-            "failed": self.failed,
-            "failed_by_reason": dict(self.failed_by_reason),
-            "rejected": self.rejected,
-            "rejected_by_reason": dict(self.rejected_by_reason),
-            "reassignments": self.reassignments,
-            "workers_registered": self.workers_registered,
-            "workers_lost": self.workers_lost,
-            "drained": self.drained,
-        }
+        return asdict(self)
 
 
 @dataclass

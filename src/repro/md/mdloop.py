@@ -67,11 +67,6 @@ class MdConfig:
     #: exact filter; the list is bit-identical either way.
     backend: str | None = None
     workers: int | None = None
-    #: Short-range kernel implementation: "vectorized" (pruned-lane
-    #: panels, `repro.core.vectorized`) or "scalar" (the chunked
-    #: reference); None resolves ``REPRO_KERNEL``, else vectorized.
-    #: Forces are bit-identical either way.
-    kernel_impl: str | None = None
 
     def __post_init__(self) -> None:
         if self.use_pme and self.nonbonded.coulomb_mode != "ewald":
@@ -128,9 +123,9 @@ class MdLoop:
         from repro.core.stepcache import StepCache
         from repro.core.vectorized import resolve_kernel_impl
 
-        #: Resolved once for the whole run; per-step dispatch is a string
-        #: compare, not an env lookup.
-        self.kernel_impl = resolve_kernel_impl(self.config.kernel_impl)
+        #: Record of the short-range impl ``REPRO_KERNEL`` selected at
+        #: construction; each evaluation resolves it again (DESIGN.md §13).
+        self.kernel_impl = resolve_kernel_impl()
         #: Pairlist-interval reuse layer (owner of the lane panels);
         #: invalidated before every list build and on restore()
         #: (DESIGN.md §8).
@@ -165,7 +160,7 @@ class MdLoop:
         t0 = time.perf_counter()
         sr = self.stepcache.short_range(
             self.system, self.pairlist, self.config.nonbonded,
-            dtype=self.config.precision, impl=self.kernel_impl,
+            dtype=self.config.precision,
         )
         self._add(timing, KERNEL_FORCE, time.perf_counter() - t0)
         forces = sr.forces

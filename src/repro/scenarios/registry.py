@@ -269,11 +269,6 @@ def _integrator_for(spec: ScenarioSpec):
     return IntegratorConfig()
 
 
-def _kernel_impl_for(spec: ScenarioSpec) -> str | None:
-    impl = spec["kernel"]
-    return None if impl == "auto" else impl
-
-
 def engine_config_for(spec: ScenarioSpec, **overrides):
     """`EngineConfig` derived from a concrete spec.
 
@@ -287,7 +282,6 @@ def engine_config_for(spec: ScenarioSpec, **overrides):
         nonbonded=nonbonded_for(spec),
         integrator=_integrator_for(spec),
         optimization_level=RUNG_TO_LEVEL[spec["rung"]],
-        kernel_impl=_kernel_impl_for(spec),
         constraint_algorithm=spec["constraints"],
     )
     kwargs.update(overrides)
@@ -304,7 +298,6 @@ def md_config_for(spec: ScenarioSpec, **overrides):
         integrator=_integrator_for(spec),
         use_pme=spec["elec"] == "pme",
         constraint_algorithm=spec["constraints"],
-        kernel_impl=_kernel_impl_for(spec),
     )
     kwargs.update(overrides)
     return MdConfig(**kwargs)

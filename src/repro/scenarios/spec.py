@@ -67,7 +67,6 @@ RUNGS = ("ori", "pkg", "cache", "vec", "fused")
 #: Rungs whose neighbour-search/comm model supports PME decomposition
 #: (engine optimisation level >= 2).
 PME_CAPABLE_RUNGS = ("cache", "vec", "fused")
-KERNEL_IMPLS = ("auto", "scalar", "vectorized")
 PLATFORMS = ("sw26010", "knl", "p100")
 
 
@@ -133,9 +132,6 @@ VARIANTS: dict[str, Variant] = {
                     "SHAKE otherwise)"),
         Variant("rung", str, "fused", RUNGS,
                 doc="strategy rung on the Fig. 8 optimisation ladder"),
-        Variant("kernel", str, "auto", KERNEL_IMPLS,
-                doc="force-kernel implementation "
-                    "(auto = $REPRO_KERNEL, else vectorized)"),
         Variant("platform", str, "sw26010", PLATFORMS,
                 doc="platform model; CPE rungs exist only on sw26010"),
         Variant("seed", int, 2019, doc="build/thermalisation RNG seed"),
@@ -149,7 +145,7 @@ VARIANTS: dict[str, Variant] = {
 
 #: Variants that pin the built particle system or its nonbonded
 #: parameters — the spec half of ``JobRequest.system_key``.  Everything
-#: else (ensemble, rung, kernel, platform) changes *how* the system is
+#: else (ensemble, rung, platform, constraints) changes *how* the system is
 #: driven, not *what* is built, so batches may still share one system.
 SYSTEM_VARIANTS = ("n", "seed", "rcut", "temp", "elec", "ion_frac")
 

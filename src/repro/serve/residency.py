@@ -4,10 +4,10 @@ Every served kernel job used to pay a *cold build* — system
 construction, cluster pair-list build, and `StepCache` priming — which
 BENCH_step.json shows is 5-7x the cost of one steady-state step.  This
 module keeps that state *resident* in the executing process across
-batches: a bounded LRU of :class:`ResidentEntry` objects keyed by
-``(system_key, execution-relevant config fingerprint)``.  A hit skips
-the build entirely; the warm `StepCache` then shares the functional
-short-range evaluation across the batch exactly as the cold path does.
+batches: a bounded LRU of :class:`ResidentEntry` objects keyed by the
+request's ``system_key``.  A hit skips the build entirely; the warm
+`StepCache` then shares the functional short-range evaluation across
+the batch exactly as the cold path does.
 
 Bit-identity is the contract, residency only moves *when* state is
 built, never *what* is computed:
@@ -22,9 +22,9 @@ built, never *what* is computed:
   every job after the first; the vectorized lane panels that first
   evaluation builds are released as soon as the batch (or warmup)
   ends (`StepCache.release_panels`), never kept with the entry.
-* the config fingerprint folds in `resolve_kernel_impl(None)`: if the
-  worker's ``REPRO_KERNEL`` resolution changes, the key changes, and
-  stale-impl state can never answer.
+* the kernel impl stays out of the key: ``REPRO_KERNEL`` picks between
+  bit-identical evaluations (DESIGN.md §13), so an entry built under
+  one impl answers exactly as the other would.
 
 Residency is kernel-kind only.  MD jobs thermalize and integrate —
 their positions *must* drift — so they execute cold, as before.
@@ -57,25 +57,6 @@ from repro.serve.jobs import (
 DEFAULT_RESIDENT_CAPACITY = 4
 
 
-def config_fingerprint() -> tuple:
-    """Execution-relevant configuration of *this* process.
-
-    Joins the residency key so entries built under one configuration
-    can never answer under another.  Currently the resolved kernel
-    implementation (explicit env ``REPRO_KERNEL`` or the vectorized
-    default) — the one process-level knob that selects between
-    bit-identical evaluation paths.
-    """
-    from repro.core.vectorized import resolve_kernel_impl
-
-    return ("impl", resolve_kernel_impl(None))
-
-
-def resident_key(request: JobRequest) -> tuple:
-    """LRU key for ``request``: system identity x process config."""
-    return (request.system_key, config_fingerprint())
-
-
 @dataclass
 class ResidentStats:
     """Process-lifetime residency counters (reported as deltas)."""
@@ -97,7 +78,7 @@ class ResidentStats:
 
 
 class ResidentCache:
-    """Bounded LRU of :class:`ResidentEntry` keyed by :func:`resident_key`.
+    """Bounded LRU of :class:`ResidentEntry` keyed by ``system_key``.
 
     Invalidation rules (DESIGN.md §14):
 
@@ -135,7 +116,7 @@ class ResidentCache:
     # -- lookup ------------------------------------------------------------
     def get_or_build(self, request: JobRequest) -> ResidentEntry:
         """Warm entry for ``request``'s system, building on miss."""
-        key = resident_key(request)
+        key = request.system_key
         entry = self._entries.get(key)
         if entry is not None:
             if position_fingerprint(entry.system.positions) != entry.positions_fp:

@@ -55,7 +55,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.durable.journal import JobJournal, JournalRecovery
@@ -225,29 +225,7 @@ class ServiceStats:
         self.failed_by_reason[code] = self.failed_by_reason.get(code, 0) + n
 
     def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "rejected_by_reason": dict(self.rejected_by_reason),
-            "completed": self.completed,
-            "failed": self.failed,
-            "failed_by_reason": dict(self.failed_by_reason),
-            "batches": self.batches,
-            "executed_units": self.executed_units,
-            "dedup_hits": self.dedup_hits,
-            "retries": self.retries,
-            "sr_evals": self.sr_evals,
-            "sr_hits": self.sr_hits,
-            "resident_hits": self.resident_hits,
-            "resident_misses": self.resident_misses,
-            "resident_builds": self.resident_builds,
-            "resident_evictions": self.resident_evictions,
-            "resident_invalidations": self.resident_invalidations,
-            "warmups": self.warmups,
-            "journal_replays": self.journal_replays,
-            "store_hits": self.store_hits,
-            "drained": self.drained,
-        }
+        return asdict(self)
 
 
 class SimulationService:

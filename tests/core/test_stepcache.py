@@ -186,14 +186,15 @@ class TestGatherReuse:
             moved.positions = moved.positions + 1e-4
         assert cache.stats.sr_evals == 2
 
-    def test_release_panels_keeps_results(self, water, plist, nb):
+    def test_release_panels_keeps_results(self, water, plist, nb, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")  # builds panels
         cache = StepCache()
-        a = cache.short_range(water, plist, nb, impl="vectorized")
+        a = cache.short_range(water, plist, nb)
         (memo,) = cache._memos.values()
         assert memo.panels
         cache.release_panels()
         assert not memo.panels
-        assert cache.short_range(water, plist, nb, impl="vectorized") is a
+        assert cache.short_range(water, plist, nb) is a
         assert cache.stats.sr_hits == 1
 
 

@@ -95,26 +95,31 @@ class TestWalkMatrix:
     @pytest.fixture(scope="class")
     def scalar_ref(self, water, nb):
         refs = {}
-        for half in (True, False):
-            plist = build_pair_list(water, nb.r_list, half=half)
-            for spec_name in ("MARK", "CACHE"):  # mark on / mark off
-                tracer = Tracer()
-                res = run_kernel_sequential(
-                    water, plist, nb, ALL_SPECS[spec_name],
-                    n_cpes=8, impl="scalar", tracer=tracer,
-                )
-                refs[half, spec_name] = (res, tracer.events, plist)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_KERNEL", "scalar")
+            for half in (True, False):
+                plist = build_pair_list(water, nb.r_list, half=half)
+                for spec_name in ("MARK", "CACHE"):  # mark on / mark off
+                    tracer = Tracer()
+                    res = run_kernel_sequential(
+                        water, plist, nb, ALL_SPECS[spec_name],
+                        n_cpes=8, tracer=tracer,
+                    )
+                    refs[half, spec_name] = (res, tracer.events, plist)
         return refs
 
     @pytest.mark.parametrize("backend", ["serial", "pool"])
     @pytest.mark.parametrize("spec_name", ["MARK", "CACHE"])
     @pytest.mark.parametrize("half", [True, False])
-    def test_bit_identity(self, scalar_ref, water, nb, half, spec_name, backend):
+    def test_bit_identity(
+        self, scalar_ref, water, nb, half, spec_name, backend, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
         ref, ref_events, plist = scalar_ref[half, spec_name]
         tracer = Tracer()
         res = run_kernel_sequential(
             water, plist, nb, ALL_SPECS[spec_name],
-            n_cpes=8, impl="vectorized", backend=backend, tracer=tracer,
+            n_cpes=8, backend=backend, tracer=tracer,
         )
         _same_result(ref, res)
         _same_counters(ref, res)
@@ -178,22 +183,25 @@ class TestEmptyPartitions:
         assert parts[-1][1] == plist.n_clusters
 
     @pytest.mark.parametrize("impl", KERNEL_IMPLS)
-    def test_walks_match_reference(self, tiny, impl):
+    def test_walks_match_reference(self, tiny, impl, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", impl)
         system, nb, plist = tiny
         ref = compute_short_range(system, plist, nb, dtype=np.float32)
         res = run_kernel_sequential(
-            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64, impl=impl
+            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64
         )
         np.testing.assert_allclose(res.forces, ref.forces, atol=5e-4)
         assert np.isfinite(res.energy)
 
-    def test_impls_bit_identical(self, tiny):
+    def test_impls_bit_identical(self, tiny, monkeypatch):
         system, nb, plist = tiny
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         a = run_kernel_sequential(
-            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64, impl="scalar"
+            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64
         )
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
         b = run_kernel_sequential(
-            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64, impl="vectorized"
+            system, plist, nb, ALL_SPECS["MARK"], n_cpes=64
         )
         _same_result(a, b)
         _same_counters(a, b)
@@ -225,14 +233,24 @@ class TestPerStepPath:
             scale = 0.06 if it == 2 else 0.004
             system.positions += rng.normal(0, scale, system.positions.shape)
 
-    def test_dispatcher_routes_both_impls(self, water, nb):
+    def test_dispatcher_routes_both_impls(self, water, nb, monkeypatch):
         plist = build_pair_list(water, nb.r_list)
-        a = compute_short_range_impl(
-            water, plist, nb, dtype=np.float32, impl="scalar"
+        routed = []
+        monkeypatch.setattr(
+            vectorized, "compute_short_range",
+            lambda *a, **kw: routed.append("scalar")
+            or compute_short_range(*a, **kw),
         )
-        b = compute_short_range_impl(
-            water, plist, nb, dtype=np.float32, impl="vectorized"
+        monkeypatch.setattr(
+            vectorized, "compute_short_range_vectorized",
+            lambda *a, **kw: routed.append("vectorized")
+            or compute_short_range_vectorized(*a, **kw),
         )
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        a = compute_short_range_impl(water, plist, nb, dtype=np.float32)
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+        b = compute_short_range_impl(water, plist, nb, dtype=np.float32)
+        assert routed == ["scalar", "vectorized"]
         assert np.array_equal(a.forces, b.forces)
         assert a.energy == b.energy
 
@@ -419,19 +437,18 @@ class TestMaskedLaneWarnings:
 class TestEngineParity:
     """Whole-trajectory parity: the engine under both impls."""
 
-    def test_positions_and_frames_identical(self):
+    def test_positions_and_frames_identical(self, monkeypatch):
         from repro.core.engine import EngineConfig, SWGromacsEngine
 
         nb = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
         results = {}
         for impl in KERNEL_IMPLS:
+            monkeypatch.setenv("REPRO_KERNEL", impl)
             system = build_water_system(600, seed=2019)
             engine = SWGromacsEngine(
-                system,
-                EngineConfig(
-                    nonbonded=nb, kernel_impl=impl, report_interval=3
-                ),
+                system, EngineConfig(nonbonded=nb, report_interval=3)
             )
+            assert engine.kernel_impl == impl
             res = engine.run(12)
             results[impl] = (system.positions.copy(), res.reporter.frames)
         pos_s, frames_s = results["scalar"]

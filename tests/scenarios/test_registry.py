@@ -93,7 +93,6 @@ class TestConfigDerivation:
         config = engine_config_for(concretize_text("water"))
         assert config.optimization_level == 3
         assert config.constraint_algorithm == "auto"
-        assert config.kernel_impl is None  # kernel=auto -> env-resolved
         assert config.nonbonded.coulomb_mode == "rf"
 
     def test_engine_config_nvt_couples_thermostat(self):
@@ -117,12 +116,6 @@ class TestConfigDerivation:
         assert config.use_pme
         assert config.nonbonded.coulomb_mode == "ewald"
         assert not md_config_for(concretize_text("water")).use_pme
-
-    def test_kernel_variant_passes_through(self):
-        config = engine_config_for(
-            concretize_text("water kernel=vectorized")
-        )
-        assert config.kernel_impl == "vectorized"
 
     def test_elec_to_coulomb(self):
         assert nonbonded_for(

@@ -26,7 +26,6 @@ from repro.serve.residency import (
     execute_batch_resident,
     execute_batch_with,
     lane_for_system,
-    resident_key,
     warmup_job,
     warmup_with,
 )
@@ -75,8 +74,8 @@ class TestResidentCache:
         assert len(cache) == 2
         assert cache.stats.evictions == 1
         keys = cache.keys()
-        assert resident_key(req(seed=2)) not in keys
-        assert resident_key(req(seed=1)) in keys
+        assert req(seed=2).system_key not in keys
+        assert req(seed=1).system_key in keys
         # The evicted system rebuilds (a miss, never an error).
         cache.get_or_build(req(seed=2))
         assert cache.stats.builds == 4
@@ -99,7 +98,7 @@ class TestResidentCache:
             cache.get_or_build(req(seed=seed))
         cache.set_capacity(1)
         assert len(cache) == 1
-        assert cache.keys() == [resident_key(req(seed=3))]  # newest survives
+        assert cache.keys() == [req(seed=3).system_key]  # newest survives
 
     def test_invalidate_all(self):
         cache = ResidentCache(capacity=4)
@@ -111,13 +110,6 @@ class TestResidentCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ResidentCache(capacity=0)
-
-    def test_key_tracks_kernel_impl(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        vector_key = resident_key(req(seed=1))
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        scalar_key = resident_key(req(seed=1))
-        assert scalar_key != vector_key  # stale-impl state can never answer
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,7 @@ class TestLaneRouting:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: serial vs resident, across kernel_impl x backend
+# Bit-identity: serial vs resident, across REPRO_KERNEL x backend
 # ---------------------------------------------------------------------------
 
 

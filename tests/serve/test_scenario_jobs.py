@@ -106,6 +106,29 @@ class TestAdmission:
         with pytest.raises(InvalidRequestError, match="unknown variant"):
             JobRequest(kind="kernel", scenario="water nparts=5").validate()
 
+    def test_kernel_variant_rejected(self):
+        # REPRO_KERNEL alone selects the kernel impl; no spec variant does.
+        import asyncio
+
+        from repro.serve.queue import REASON_INVALID
+        from repro.serve.service import (
+            AdmissionRejected,
+            ServeConfig,
+            SimulationService,
+        )
+
+        async def scenario():
+            async with SimulationService(ServeConfig(max_depth=4)) as svc:
+                with pytest.raises(AdmissionRejected) as exc:
+                    await svc.submit(JobRequest(
+                        scenario="water@spc n=300 rcut=0.45 kernel=scalar"
+                    ))
+                return exc.value.error
+
+        error = asyncio.run(scenario())
+        assert error.code == REASON_INVALID
+        assert "unknown variant 'kernel'" in error.message
+
     def test_valid_spec_admitted(self):
         JobRequest(kind="kernel",
                    scenario="water@spce n=1500 ensemble=nvt elec=rf"

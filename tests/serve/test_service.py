@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.serve.queue import (
 from repro.serve.service import (
     AdmissionRejected,
     ServeConfig,
+    ServiceStats,
     SimulationService,
 )
 from repro.trace.events import CAT_SERVE, SERVE_TRACK, Tracer
@@ -655,6 +657,24 @@ class TestSockets:
         assert garbage["error"]["code"] == "bad_request"
         assert unknown["error"]["code"] == "unknown_op"
         assert unknown_job["error"]["code"] == "unknown_job"
+
+
+class TestStatsOp:
+    def test_stats_keys_are_service_stats_fields(self):
+        async def scenario():
+            async with SimulationService(ServeConfig(max_depth=4)) as svc:
+                assert (await svc.submit_and_wait(req())).ok
+                return await svc._dispatch_op({"op": "stats"})
+
+        stats = run(scenario())["stats"]
+        assert list(stats) == [f.name for f in fields(ServiceStats)]
+        # The counters the perfbench serve workloads read.
+        assert {
+            "batches", "executed_units", "dedup_hits", "resident_hits",
+            "resident_misses", "resident_builds", "resident_evictions",
+            "sr_evals", "sr_hits",
+        } <= stats.keys()
+        assert stats["completed"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import _build_parser, _serve_config, main
+from repro.serve import ServeConfig
 
 TINY = ["-n", "300", "--rcut", "0.45"]
 
@@ -43,6 +44,45 @@ class TestVersion:
         )
         meta = tomllib.loads(pyproject.read_text())
         assert meta["project"]["version"] == repro.__version__
+
+
+class TestParser:
+    def test_kernel_flag_is_usage_error(self, capsys):
+        # REPRO_KERNEL is the only kernel switch; there is no flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["--kernel", "scalar", "run"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_serve_and_fleet_worker_share_serve_flags(self):
+        shared = [
+            "--max-depth", "7", "--max-per-tenant", "3", "--max-batch", "5",
+            "--max-inflight", "2", "--no-dedup", "--no-resident",
+            "--resident-capacity", "9", "--arena-bytes", "4096",
+            "--journal-dir", "jdir", "--result-store-max", "11",
+            "--journal-fsync",
+        ]
+        parser = _build_parser()
+        head = ["--backend", "pool", "--workers", "3"]
+        serve = _serve_config(
+            parser.parse_args([*head, "serve", "--socket", "s", *shared])
+        )
+        worker = _serve_config(parser.parse_args(
+            [*head, "fleet-worker", "--socket", "w", "--router", "r",
+             "--name", "w1", *shared]
+        ))
+        assert serve == worker == ServeConfig(
+            max_depth=7, max_per_tenant=3, max_batch=5, max_inflight=2,
+            dedup=False, backend="pool", workers=3, journal_dir="jdir",
+            result_store_max=11, journal_fsync=True, resident=False,
+            resident_capacity=9, arena_bytes=4096,
+        )
+        default = ServeConfig()
+        changed = {
+            name for name, value in vars(serve).items()
+            if value != getattr(default, name)
+        }
+        assert len(changed) == 13  # every flag moved its field
 
 
 class TestRunCommands:
