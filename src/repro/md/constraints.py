@@ -24,6 +24,17 @@ class ConstraintError(RuntimeError):
     """Raised when SHAKE fails to converge (blown-up dynamics)."""
 
 
+def scatter_add_rows(
+    target: np.ndarray, index: np.ndarray, values: np.ndarray
+) -> None:
+    """``np.add.at(target, index, values)`` for (n, 3) rows, one column
+    at a time: numpy's fast path takes only 1-D operands.  Each element
+    gets the same additions in the same order, so the result is
+    bit-identical to the 2-D call."""
+    for k in range(target.shape[1]):
+        np.add.at(target[:, k], index, values[:, k])
+
+
 @dataclass
 class ConstraintArrays:
     """Constraint lists flattened to numpy (built once per topology)."""
@@ -105,8 +116,8 @@ class ShakeSolver:
             denom = np.where(denom > floor, denom, floor)
             g = diff / denom
             g *= 0.8  # under-relaxation; triangle constraints share atoms
-            np.add.at(positions, a.i, -(a.inv_mi * g)[:, None] * ref_dr)
-            np.add.at(positions, a.j, (a.inv_mj * g)[:, None] * ref_dr)
+            scatter_add_rows(positions, a.i, -(a.inv_mi * g)[:, None] * ref_dr)
+            scatter_add_rows(positions, a.j, (a.inv_mj * g)[:, None] * ref_dr)
         raise ConstraintError(
             f"SHAKE failed to converge in {self.max_iterations} iterations "
             f"(max violation {np.abs(diff).max():.3e})"
@@ -131,8 +142,8 @@ class ShakeSolver:
                 return iteration - 1
             kappa = rv / (inv_m_sum * np.sum(dr * dr, axis=1))
             kappa *= 0.8
-            np.add.at(velocities, a.i, -(a.inv_mi * kappa)[:, None] * dr)
-            np.add.at(velocities, a.j, (a.inv_mj * kappa)[:, None] * dr)
+            scatter_add_rows(velocities, a.i, -(a.inv_mi * kappa)[:, None] * dr)
+            scatter_add_rows(velocities, a.j, (a.inv_mj * kappa)[:, None] * dr)
         raise ConstraintError(
             f"RATTLE failed to converge in {self.max_iterations} iterations"
         )

@@ -8,10 +8,15 @@ it is non-iterative in phase 1 (fixed work per step) and vectorises
 cleanly — which is also why it is the natural constraint kernel to
 offload to CPEs.
 
-This implementation follows the original paper's matrix formulation with
-dense numpy linear algebra over the (sparse) constraint coupling matrix;
-fine for the system sizes this repo simulates.  It is validated against
-the SHAKE solver in `tests/md/test_lincs.py`.
+The coupling matrix is kept sparse: one ``(row, col, coef)`` triplet per
+ordered pair of constraints that share an atom, sorted by (row, col), so
+memory is linear in the constraint count (rigid water has two couplings
+per row).  Its topology-constant factor ``-S_r S_c coef`` is computed
+once; each step only multiplies in the bond-direction dot products.
+Every term of the series is one ``np.bincount`` over the triplets, which
+sums each row's products in ascending column order.  It is validated
+against the SHAKE solver and a dense-matrix oracle in
+`tests/md/test_lincs_settle.py`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.md.box import Box
-from repro.md.constraints import ConstraintArrays, ConstraintError
+from repro.md.constraints import ConstraintArrays, ConstraintError, scatter_add_rows
 from repro.md.topology import Constraint
 
 
@@ -80,9 +85,17 @@ class LincsSolver:
                     couple_rows.append(ci)
                     couple_cols.append(cj)
                     couple_coef.append(si * sj * inv_mass[atom])
-        self._rows = np.array(couple_rows, dtype=np.int64)
-        self._cols = np.array(couple_cols, dtype=np.int64)
-        self._coef = np.array(couple_coef)
+        rows = np.array(couple_rows, dtype=np.int64)
+        cols = np.array(couple_cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        self._rows = rows[order]
+        self._cols = cols[order]
+        self._coef = np.array(couple_coef)[order]
+        # A = I - S B M^-1 B^T S has *negated* coupling off the diagonal;
+        # only the bond-direction dot products change from step to step.
+        self._factor = (
+            -self._sdiag[self._rows] * self._sdiag[self._cols] * self._coef
+        )
 
     @property
     def n_constraints(self) -> int:
@@ -95,31 +108,28 @@ class LincsSolver:
         return dr / norm[:, None]
 
     def _coupling(self, b: np.ndarray) -> np.ndarray:
-        """Dense coupling matrix A (zero diagonal)."""
-        mat = np.zeros((self.n, self.n))
-        dots = np.sum(b[self._rows] * b[self._cols], axis=1)
-        # A = I - S B M^-1 B^T S has *negated* coupling off the diagonal.
-        np.add.at(
-            mat,
-            (self._rows, self._cols),
-            -self._sdiag[self._rows] * self._sdiag[self._cols] * self._coef * dots,
-        )
-        return mat
+        """Coupling matrix A (zero diagonal): one value per triplet."""
+        return self._factor * np.sum(b[self._rows] * b[self._cols], axis=1)
 
     def _apply_lagrange(
-        self, positions: np.ndarray, b: np.ndarray, lam: np.ndarray
+        self, target: np.ndarray, b: np.ndarray, lam: np.ndarray
     ) -> None:
         a = self.arrays
         scaled = (self._sdiag * lam)[:, None] * b
-        np.add.at(positions, a.i, -a.inv_mi[:, None] * scaled)
-        np.add.at(positions, a.j, a.inv_mj[:, None] * scaled)
+        scatter_add_rows(target, a.i, -a.inv_mi[:, None] * scaled)
+        scatter_add_rows(target, a.j, a.inv_mj[:, None] * scaled)
 
-    def _series_solve(self, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """(I - A)^-1 rhs ~ sum_k A^k rhs, truncated at lincs_order."""
+    def _series_solve(self, vals: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """(I - A)^-1 rhs ~ sum_k A^k rhs, truncated at lincs_order.
+
+        Each ``A @ term`` is a bincount over the sorted triplets.  Without
+        triplets it returns int64 zeros; ``sol`` stays float64."""
         sol = rhs.copy()
         term = rhs
         for _ in range(self.config.lincs_order):
-            term = mat @ term
+            term = np.bincount(
+                self._rows, weights=vals * term[self._cols], minlength=self.n
+            )
             sol += term
         return sol
 
@@ -140,12 +150,12 @@ class LincsSolver:
             return 0
         a = self.arrays
         b = self._bond_dirs(reference, box)
-        mat = self._coupling(b)
+        vals = self._coupling(b)
 
         # Phase 1: linear projection.
         dr = box.displacement(positions[a.i], positions[a.j])
         rhs = self._sdiag * (np.sum(b * dr, axis=1) - self._d)
-        lam = self._series_solve(mat, rhs)
+        lam = self._series_solve(vals, rhs)
         self._apply_lagrange(positions, b, lam)
 
         # Phase 2: rotational lengthening correction.
@@ -158,7 +168,7 @@ class LincsSolver:
             arg = np.maximum(2.0 * a.d2 - len2, 0.0)
             # p = sqrt(2 d^2 - l^2); rhs = S (d - p) shortens overlong bonds.
             rhs = self._sdiag * (self._d - np.sqrt(arg))
-            lam = self._series_solve(mat, rhs)
+            lam = self._series_solve(vals, rhs)
             self._apply_lagrange(positions, b, lam)
 
         dr = box.displacement(positions[a.i], positions[a.j])
@@ -188,15 +198,13 @@ class LincsSolver:
             return 0
         a = self.arrays
         b = self._bond_dirs(positions, box)
-        mat = self._coupling(b)
+        vals = self._coupling(b)
         # The truncated series converges slowly on coupled triangles;
         # re-applying the projection is equivalent to extending it and
         # converges geometrically.
         for iteration in range(1, self.config.lincs_iter + 1):
             dv = velocities[a.i] - velocities[a.j]
             rhs = self._sdiag * np.sum(b * dv, axis=1)
-            lam = self._series_solve(mat, rhs)
-            scaled = (self._sdiag * lam)[:, None] * b
-            np.add.at(velocities, a.i, -a.inv_mi[:, None] * scaled)
-            np.add.at(velocities, a.j, a.inv_mj[:, None] * scaled)
+            lam = self._series_solve(vals, rhs)
+            self._apply_lagrange(velocities, b, lam)
         return iteration

@@ -79,8 +79,8 @@ def minimize(
             energy, forces = new_energy, new_forces
             step *= 1.2
         else:
+            # The next trial builds its own list; nothing reads one here.
             system.positions = old_positions
-            loop._rebuild_pairlist(loop_timing)
             step *= 0.2
             if step < 1e-8:
                 break

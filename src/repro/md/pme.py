@@ -109,12 +109,37 @@ class PmeResult:
         return self.energy_reciprocal + self.energy_self + self.energy_exclusion
 
 
+def _intramolecular_pairs(mol_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All intra-molecular pairs ``i < j``, grouped by molecule."""
+    order = np.argsort(mol_ids, kind="stable")
+    boundaries = np.nonzero(np.diff(mol_ids[order]))[0] + 1
+    pi_list, pj_list = [], []
+    for g in np.split(order, boundaries):
+        if len(g) < 2:
+            continue
+        a, b = np.triu_indices(len(g), k=1)
+        pi_list.append(g[a])
+        pj_list.append(g[b])
+    if not pi_list:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(pi_list), np.concatenate(pj_list)
+
+
 class PmeSolver:
-    """Reusable PME solver for a fixed box/topology (grid cached)."""
+    """Reusable PME solver for a fixed box/topology.
+
+    The influence function is built once per box, and the excluded
+    (intra-molecular) pairs once per topology: they are rebuilt only
+    when a call brings ``mol_ids`` that differ from the ones they came
+    from, so a solver reused on another system stays correct.
+    """
 
     def __init__(self, box: Box, params: PmeParams) -> None:
         self.box = box
         self.params = params
+        self._excl_mol_ids: np.ndarray | None = None
+        self._excl_pairs: tuple[np.ndarray, np.ndarray] | None = None
         self.dims = params.grid_dims(box)
         kx, ky, kz = self.dims
         # Influence function G(m) on the FFT grid (zero at m = 0).
@@ -214,29 +239,24 @@ class PmeSolver:
             -COULOMB_CONSTANT * self.params.beta / np.sqrt(np.pi) * np.sum(charges**2)
         )
 
+    def _excluded_pairs(
+        self, mol_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if self._excl_pairs is None or not np.array_equal(
+            mol_ids, self._excl_mol_ids
+        ):
+            self._excl_pairs = _intramolecular_pairs(mol_ids)
+            self._excl_mol_ids = mol_ids.copy()
+        return self._excl_pairs
+
     def exclusion_correction(
         self, system: ParticleSystem
     ) -> tuple[float, np.ndarray]:
         """Remove reciprocal-space interactions of excluded (intra-molecular)
         pairs: subtract ``f q_i q_j erf(beta r) / r`` and its force."""
-        topo = system.topology
-        mol = topo.mol_ids
-        # Excluded pairs: all intra-molecular i < j.
-        order = np.argsort(mol, kind="stable")
-        sorted_mol = mol[order]
-        boundaries = np.nonzero(np.diff(sorted_mol))[0] + 1
-        groups = np.split(order, boundaries)
-        pi_list, pj_list = [], []
-        for g in groups:
-            if len(g) < 2:
-                continue
-            a, b = np.triu_indices(len(g), k=1)
-            pi_list.append(g[a])
-            pj_list.append(g[b])
-        if not pi_list:
+        pi, pj = self._excluded_pairs(system.topology.mol_ids)
+        if not len(pi):
             return 0.0, np.zeros_like(system.positions)
-        pi = np.concatenate(pi_list)
-        pj = np.concatenate(pj_list)
         dr = system.box.displacement(system.positions[pi], system.positions[pj])
         r2 = np.sum(dr * dr, axis=1)
         r = np.sqrt(r2)

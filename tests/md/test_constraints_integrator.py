@@ -6,13 +6,31 @@ import time
 import numpy as np
 import pytest
 
-from repro.md.constraints import ConstraintError, ShakeSolver
+from repro.md.constraints import ConstraintError, ShakeSolver, scatter_add_rows
 from repro.md.integrator import IntegratorConfig, LeapfrogIntegrator
 from repro.md.mdloop import MdConfig, MdLoop
 from repro.md.minimize import minimize
 from repro.md.nonbonded import NonbondedParams
 from repro.md.reporter import EnergyReporter
 from repro.md.water import build_lj_fluid, build_water_system
+
+
+class TestScatterAddRows:
+    def test_bit_equal_to_2d_add_at(self, rng):
+        """Water-triangle scatter: each oxygen appears twice in ``i``
+        (O-H1, O-H2), each H1 once in ``i`` and once in ``j``."""
+        n_mol = 50
+        o = 3 * np.arange(n_mol)
+        i = np.stack([o, o, o + 1], axis=1).ravel()
+        j = np.stack([o + 1, o + 2, o + 2], axis=1).ravel()
+        start = rng.normal(size=(3 * n_mol, 3))
+        for index in (i, j):
+            values = rng.normal(size=(len(index), 3))
+            expected = start.copy()
+            np.add.at(expected, index, values)
+            got = start.copy()
+            scatter_add_rows(got, index, values)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestShake:
@@ -211,6 +229,41 @@ class TestMinimize:
 
         solver = ShakeSolver(system.topology.constraints, system.masses)
         assert solver.max_violation(system.positions, system.box) < 1e-5
+
+    def test_every_list_build_is_evaluated(self, monkeypatch):
+        """A rejected trial restores the old positions without building a
+        list: every list the minimiser builds is followed by a force
+        evaluation on it."""
+        import importlib
+
+        import repro.md.mdloop as mdloop
+
+        # `repro.md` re-exports the function under the module's name.
+        minimize_mod = importlib.import_module("repro.md.minimize")
+        events = []
+        real_build = mdloop.build_pair_list
+
+        def build(*args, **kwargs):
+            events.append("build")
+            return real_build(*args, **kwargs)
+
+        class RecordingLoop(MdLoop):
+            def compute_forces(self, timing=None):
+                forces, energy = super().compute_forces(timing)
+                events.append(energy)
+                return forces, energy
+
+        monkeypatch.setattr(mdloop, "build_pair_list", build)
+        monkeypatch.setattr(minimize_mod, "MdLoop", RecordingLoop)
+        cfg = MdConfig(
+            nonbonded=NonbondedParams(r_cut=0.6, r_list=0.7, coulomb_mode="rf")
+        )
+        minimize_mod.minimize(build_water_system(300, seed=3), cfg, n_steps=30)
+        energies = np.array([e for e in events if e != "build"])
+        accepted = np.minimum.accumulate(energies)
+        rejected = int(np.sum(energies[1:] >= accepted[:-1]))
+        assert rejected >= 1
+        assert [e == "build" for e in events] == [True, False] * len(energies)
 
     def test_invalid_steps(self, lj_small, nb_lj):
         with pytest.raises(ValueError):

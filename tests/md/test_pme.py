@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from repro.md.box import Box
 from repro.md.constants import AtomType
@@ -23,6 +24,59 @@ def make_charged_system(positions, charges, edge):
     for m, q in enumerate(charges):
         topo.add_particles(["ION"], [q], mol_id=m)
     return ParticleSystem(np.asarray(positions, dtype=float), Box.cubic(edge), topo)
+
+
+def make_molecular_system(positions, charges, edge, mol_size):
+    """Charges grouped into molecules of ``mol_size`` consecutive atoms."""
+    topo = Topology([ION])
+    for m, start in enumerate(range(0, len(charges), mol_size)):
+        q = list(charges[start : start + mol_size])
+        topo.add_particles(["ION"] * len(q), q, mol_id=m)
+    return ParticleSystem(np.asarray(positions, dtype=float), Box.cubic(edge), topo)
+
+
+def per_call_exclusion_correction(pme, system):
+    """The exclusion correction with its excluded pairs rebuilt on every
+    call, as `PmeSolver` did before it kept them per topology."""
+    mol = system.topology.mol_ids
+    order = np.argsort(mol, kind="stable")
+    sorted_mol = mol[order]
+    boundaries = np.nonzero(np.diff(sorted_mol))[0] + 1
+    groups = np.split(order, boundaries)
+    pi_list, pj_list = [], []
+    for g in groups:
+        if len(g) < 2:
+            continue
+        a, b = np.triu_indices(len(g), k=1)
+        pi_list.append(g[a])
+        pj_list.append(g[b])
+    if not pi_list:
+        return 0.0, np.zeros_like(system.positions)
+    pi = np.concatenate(pi_list)
+    pj = np.concatenate(pj_list)
+    dr = system.box.displacement(system.positions[pi], system.positions[pj])
+    r2 = np.sum(dr * dr, axis=1)
+    r = np.sqrt(r2)
+    qq = system.charges[pi] * system.charges[pj]
+    beta = pme.params.beta
+    erf_br = erf(beta * r)
+    energy = float(-COULOMB_CONSTANT * np.sum(qq * erf_br / r))
+    gauss = np.exp(-((beta * r) ** 2))
+    f_scalar = -COULOMB_CONSTANT * qq * (
+        erf_br / r2 - 2.0 * beta / np.sqrt(np.pi) * gauss / r
+    ) / r
+    forces = np.zeros_like(system.positions)
+    fvec = f_scalar[:, None] * dr
+    np.add.at(forces, pi, fvec)
+    np.add.at(forces, pj, -fvec)
+    return energy, forces
+
+
+def assert_bit_equal(got, expected):
+    e_got, f_got = got
+    e_exp, f_exp = expected
+    assert e_got == e_exp
+    assert np.array_equal(f_got.view(np.int64), f_exp.view(np.int64))
 
 
 def total_coulomb(system, beta, spacing=0.06, order=4, r_cut=1.1):
@@ -162,3 +216,55 @@ class TestPmeEnergies:
             PmeParams(grid_spacing=0.0)
         with pytest.raises(ValueError):
             PmeParams(beta=-1.0)
+
+
+class TestExclusionPairs:
+    """Excluded pairs are built once per solver and topology."""
+
+    def test_bit_identical_to_per_call_build(self, water_small):
+        pme = PmeSolver(water_small.box, PmeParams())
+        for _ in range(2):
+            assert_bit_equal(
+                pme.exclusion_correction(water_small),
+                per_call_exclusion_correction(pme, water_small),
+            )
+
+    def test_second_call_reuses_cached_pairs(self, water_small, monkeypatch):
+        import repro.md.pme as pme_mod
+
+        builds = []
+        real = pme_mod._intramolecular_pairs
+
+        def counting(mol_ids):
+            builds.append(len(mol_ids))
+            return real(mol_ids)
+
+        monkeypatch.setattr(pme_mod, "_intramolecular_pairs", counting)
+        pme = PmeSolver(water_small.box, PmeParams())
+        pme.exclusion_correction(water_small)
+        cached = pme._excl_pairs
+        moved = water_small.copy()
+        moved.positions += 0.01
+        pme.exclusion_correction(moved)
+        assert builds == [water_small.n_particles]
+        assert pme._excl_pairs is cached
+
+    def test_one_solver_two_topologies(self):
+        rng = np.random.default_rng(4)
+        pos = rng.uniform(0, 2.4, (12, 3))
+        q = rng.uniform(-1, 1, 12)
+        triples = make_molecular_system(pos, q, 2.4, mol_size=3)
+        pairs = make_molecular_system(pos, q, 2.4, mol_size=2)
+        pme = PmeSolver(triples.box, PmeParams())
+        energies = []
+        for system in (triples, pairs, triples):
+            got = pme.exclusion_correction(system)
+            assert_bit_equal(got, per_call_exclusion_correction(pme, system))
+            energies.append(got[0])
+        assert energies[0] == energies[2] != energies[1]
+        # An in-place edit of the cached topology's mol_ids is seen too.
+        triples.topology.mol_ids[:] = np.arange(12) // 4
+        assert_bit_equal(
+            pme.exclusion_correction(triples),
+            per_call_exclusion_correction(pme, triples),
+        )
