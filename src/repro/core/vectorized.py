@@ -21,8 +21,21 @@ Bit-identity rests on a small set of float32 accumulation identities
   tree over the same elements);
 * ``np.cumsum`` is a strict sequential accumulation, matching a scalar
   ``energy +=`` loop term for term;
-* one ``np.bincount`` over concatenated i/j indices equals two
-  sequential ``np.add.at`` calls (per-bin scan order is preserved).
+* one ``np.bincount`` over i/j indices laid out chunk by chunk (each
+  chunk's i indices, then its j indices) equals the reference's
+  sequential ``np.add.at`` passes over those chunks (per-bin scan order
+  is preserved).
+
+The per-step path, `compute_short_range_vectorized`, serves pair lists
+of every size; the chunked reference runs only under
+``REPRO_KERNEL=scalar``.  A list's first evaluation builds no lane
+panels: one fold over the valid lanes, the pair kernel on the in-cutoff
+lanes only, then the scatter, keeping the lanes within ``r_keep`` as
+one int32 each.  Only an evaluation at other positions fills the
+kept-lane panels from that selection, so a list evaluated once (a serve
+batch, a warmup, a minimiser trial) never pays for them.  Both paths
+group forces, energy and virial by the reference's ``chunk_pairs``
+chunks, so they stay bit-identical above one chunk too.
 
 Implementation selection: ``REPRO_KERNEL`` is the one switch, read
 only by ``resolve_kernel_impl``; it defaults to ``"vectorized"``, and
@@ -222,11 +235,16 @@ def walk_fidelity_partition_vectorized(task):
 #: before the guard re-anchors.
 PRUNE_MARGIN = 0.20
 
-#: Lanes per block of the elementwise passes (the anchor scan, the PBC
+#: Lanes per block of the elementwise passes (the lane scan, the PBC
 #: fold and the pair kernel).  Their temporaries are sized to one block
 #: rather than to every kept lane; block boundaries never change a
 #: result, since every operation in those passes is elementwise.
 LANE_BLOCK = 16384
+
+#: Per-lane pair constants: ``felec*qq``, ``c6``, ``c12`` and the
+#: step-invariant products hoisted out of the pair kernel (``6*c6``,
+#: ``12*c12`` and, with ``shift_lj``, the LJ shift energy ``se``).
+_CONSTS = ("fqq", "c6", "c12", "c6_6", "c12_12", "se")
 
 
 def valid_lanes(
@@ -259,24 +277,51 @@ def _lane_slots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(slot_i, slot_j)`` of flat tile lanes — `tile_indices`' layout
     inverted: lane ``m*16 + a*4 + b`` pairs slot ``4*ci[m] + a`` with
-    slot ``4*cj[m] + b``."""
-    tile, ab = np.divmod(lanes, CLUSTER_SIZE * CLUSTER_SIZE)
-    a, b = np.divmod(ab, CLUSTER_SIZE)
+    slot ``4*cj[m] + b`` (shifts and masks, as ``CLUSTER_SIZE`` is 4)."""
+    tile = lanes >> 4
     return (
-        plist.pair_ci[tile] * CLUSTER_SIZE + a,
-        plist.pair_cj[tile] * CLUSTER_SIZE + b,
+        np.take(plist.pair_ci, tile) * CLUSTER_SIZE + ((lanes >> 2) & 3),
+        np.take(plist.pair_cj, tile) * CLUSTER_SIZE + (lanes & 3),
     )
 
 
-class _Scratch:
-    """Temporaries of one lane block, allocated per call."""
+def _segments(
+    lanes: np.ndarray, chunk_lanes: int, n_lanes: int, half: bool
+) -> list[tuple[int, int]]:
+    """Ranges ``(a, z)`` of ``lanes`` (ascending full-lane positions)
+    whose forces the reference scatters as one group.
 
-    def __init__(self, n: int, dtype) -> None:
+    `compute_short_range` adds each chunk's i forces, then its j forces,
+    chunk by chunk, so a half list has one range per chunk of
+    ``chunk_lanes`` full lanes.  A full list scatters i forces only, in
+    lane order, so its grouping is invisible: one range.  The slots of
+    range ``(a, z)`` sit at ``[2a, 2z)`` of a slot array, i slots then
+    j slots: lane ``x`` has its i slot at ``a + x`` and its j slot at
+    ``z + x``.  With one range that is ``[i slots, j slots]``.
+    """
+    if not half:
+        return [(0, len(lanes))]
+    bounds = np.arange(chunk_lanes, n_lanes, chunk_lanes, dtype=lanes.dtype)
+    cuts = np.searchsorted(lanes, bounds)  # same dtype: no copy of lanes
+    ends = [0, *cuts.tolist(), len(lanes)]
+    return list(zip(ends[:-1], ends[1:]))
+
+
+class _Scratch:
+    """Temporaries of one lane block, allocated per call.  ``compact``
+    adds room for the in-cutoff lanes a first evaluation compacts out of
+    a block: their ``r2`` and ``dr`` (``c``) and pair constants (``k``).
+    """
+
+    def __init__(self, n: int, dtype, compact: bool = False) -> None:
         self.d = np.empty((3, n), dtype=dtype)  # dr components
         self.r2 = np.empty(n, dtype=dtype)
         self.t = np.empty((10, n), dtype=dtype)  # pair-kernel temporaries
         self.mask = np.empty((2, n), dtype=bool)
         self.w = np.empty(n, dtype=np.float64)
+        if compact:
+            self.c = np.empty((4, n), dtype=dtype)
+            self.k = {name: np.empty(n, dtype=dtype) for name in _CONSTS}
 
 
 def _fold(
@@ -285,14 +330,15 @@ def _fold(
     ii: np.ndarray,
     jj: np.ndarray,
     s: _Scratch,
-    shift: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimum-image ``dr`` of lanes ``(ii, jj)`` into ``s.d``; returns
     ``r2``.
 
     The reference fold's elementwise operations in its order, one
-    position column at a time.  ``shift`` (3, n) replaces the rounding
-    by stored anchor shifts (see `CompactPanels`).  ``r2`` accumulates
+    position column at a time, rounding every lane's image afresh: the
+    slot positions are wrapped into the box, so a particle crossing a
+    face jumps a box edge, and an image stored at an anchor would go
+    stale unseen by the drift guard.  ``r2`` accumulates
     ``x*x + y*y + z*z`` left to right, as ``np.sum`` over a 3-element
     axis does.
     """
@@ -303,13 +349,10 @@ def _fold(
         np.take(pcols[c], ii, out=dc, mode="clip")
         np.take(pcols[c], jj, out=t, mode="clip")
         dc -= t
-        if shift is not None:
-            dc -= shift[c]
-        else:
-            np.divide(dc, box_arr[c], out=t)
-            np.round(t, out=t)
-            t *= box_arr[c]
-            dc -= t
+        np.divide(dc, box_arr[c], out=t)
+        np.round(t, out=t)
+        t *= box_arr[c]
+        dc -= t
     r2 = s.r2[:n]
     np.multiply(s.d[0, :n], s.d[0, :n], out=r2)
     np.multiply(s.d[1, :n], s.d[1, :n], out=t)
@@ -319,34 +362,86 @@ def _fold(
     return r2
 
 
+def _slot_tables(
+    system: ParticleSystem, plist: ClusterPairList, dtype
+) -> tuple[np.ndarray, ...]:
+    """Per-slot charges, LJ table row offsets and types, plus the
+    flattened LJ tables, for :func:`_pair_constants`."""
+    topo = system.topology
+    types = plist.gather(topo.type_ids).astype(np.int64)
+    return (
+        plist.gather(system.charges).astype(dtype),
+        types * topo.c6_table.shape[1],
+        types,
+        topo.c6_table.astype(dtype).ravel(),
+        topo.c12_table.astype(dtype).ravel(),
+    )
+
+
+def _pair_constants(
+    tables: tuple[np.ndarray, ...],
+    vi: np.ndarray,
+    vj: np.ndarray,
+    out: dict,
+    lo: int,
+    params: NonbondedParams,
+    t: np.ndarray,
+) -> None:
+    """Pair constants (`_CONSTS`) of lanes ``(vi, vj)`` into
+    ``out[name][lo:lo+len(vi)]``; ``t`` is scratch of that length.
+
+    Exactly as the reference tiles form them (elementwise, so gathering
+    to a lane subset first is exact), with the step-invariant products
+    hoisted out of the pair kernel: they commute bit for bit with its
+    in-kernel order.
+    """
+    q, type_row, types, c6_flat, c12_flat = tables
+    dt = q.dtype.type
+    hi = lo + len(vi)
+    fqq = out["fqq"][lo:hi]
+    np.take(q, vi, out=fqq)
+    fqq *= np.take(q, vj)
+    fqq *= dt(COULOMB_CONSTANT)
+    pair_type = np.take(type_row, vi)
+    pair_type += np.take(types, vj)
+    c6, c12 = out["c6"][lo:hi], out["c12"][lo:hi]
+    np.take(c6_flat, pair_type, out=c6)
+    np.take(c12_flat, pair_type, out=c12)
+    np.multiply(c6, dt(6.0), out=out["c6_6"][lo:hi])
+    np.multiply(c12, dt(12.0), out=out["c12_12"][lo:hi])
+    if params.shift_lj:
+        # lj_shift_energy, in place: ((c12*inv6)*inv6) - (c6*inv6).
+        inv6 = (1.0 / params.r_cut) ** 6
+        se = out["se"][lo:hi]
+        np.multiply(c12, inv6, out=se)
+        se *= inv6
+        np.multiply(c6, inv6, out=t)
+        se -= t
+
+
 @dataclass
 class CompactPanels:
     """Flattened, pruned lane data for the per-step fast path.
 
-    Anchored once per pair-list rebuild (and again after each drift-guard
-    re-anchor): lanes are the tile entries that are topology-valid *and*
+    The kept lanes are the tile entries that are topology-valid *and*
     within ``r_keep = r_cut + PRUNE_MARGIN`` of each other at
-    ``anchor_pos``.  A pruned lane can only contribute an exact zero in
-    the reference evaluation, so dropping it never changes a sum (the
-    one invisible exception: a slot whose every contribution is a
-    signed zero may flip zero sign, which ``==``/``np.array_equal``
-    cannot observe and the integrator cannot propagate).
-
-    ``bufs["shift"]`` holds ``box * round(dr/box)`` per kept lane when
-    the static-shift precondition holds (``2*r_keep - r_cut`` under half
-    the smallest box edge): while the drift guard passes, no kept lane's
-    minimum image can reach half a box edge, so the rounding in the
-    reference PBC fold is reproduced exactly by the stored shift.
+    ``anchor_pos``.  A list's first evaluation only selects them
+    (``sel``); the next evaluation at other positions fills the
+    kept-lane buffers from that selection at ``anchor_pos``, and each
+    drift-guard re-anchor selects and fills again.  A pruned lane can
+    only contribute an exact zero in the reference evaluation, and every
+    sum starts at +0.0, which adding a zero of either sign leaves
+    unchanged: dropping the lane never changes a bit.
     """
 
     #: Kept-lane arrays at capacity ``cap``, consumed as ``[:n_kept]``
     #: views, so a re-anchor refills in place instead of reallocating
     #: (large numpy frees go straight back to the OS, so reallocation
     #: costs a page-fault storm every refresh).  Per kept lane: the i/j
-    #: slots (int64, they feed ``np.bincount``), the full-lane position
-    #: (int32), the pair constants and hoisted products, the static
-    #: shifts, the force components, and one float64 weight buffer
-    #: shared by x, y and z.
+    #: slots (int64, they feed ``np.bincount``; `_segments` layout), the
+    #: full-lane position (int32), the pair constants (`_CONSTS`), the
+    #: force components, and one float64 weight buffer shared by x, y
+    #: and z.  Empty until the first fill.
     bufs: dict = field(repr=False)
     cap: int
     n_kept: int
@@ -356,17 +451,25 @@ class CompactPanels:
     anchor_pos: np.ndarray = field(repr=False)
     r_keep: float
     half: bool
-    static_shift: bool
     has_shift_e: bool
+    #: Full lanes per reference chunk (``chunk_pairs`` tiles).
+    chunk_lanes: int
+    #: The kept lanes' scatter ranges (`_segments`), set by each fill.
+    segs: list = field(default_factory=list)
+    #: A selection waiting for its fill: positions into `valid_lanes`
+    #: (int32) of the lanes kept at ``anchor_pos``.  None once filled.
+    sel: np.ndarray | None = field(default=None, repr=False)
 
     # Named views for tests; the hot path slices ``bufs`` directly.
     @property
     def idx_i(self) -> np.ndarray:
-        return self.bufs["sidx"][: self.n_kept]
+        sidx = self.bufs["sidx"]
+        return np.concatenate([sidx[2 * a : a + z] for a, z in self.segs])
 
     @property
     def idx_j(self) -> np.ndarray:
-        return self.bufs["sidx"][self.n_kept : 2 * self.n_kept]
+        sidx = self.bufs["sidx"]
+        return np.concatenate([sidx[a + z : 2 * z] for a, z in self.segs])
 
     @property
     def c6(self) -> np.ndarray:
@@ -384,49 +487,89 @@ def _alloc_compact_bufs(cp: CompactPanels, dtype, cap: int) -> dict:
         "fvec": np.empty((3, cap), dtype=dtype),
         "wb": np.empty(2 * cap if cp.half else cap, dtype=np.float64),
     }
-    names = ["fqq", "c6", "c12", "c6_6", "c12_12"]
-    if cp.has_shift_e:
-        names.append("se")
-    for name in names:
+    for name in _CONSTS if cp.has_shift_e else _CONSTS[:-1]:
         bufs[name] = np.empty(cap, dtype=dtype)
-    if cp.static_shift:
-        bufs["shift"] = np.empty((3, cap), dtype=dtype)
     return bufs
 
 
-def _anchor(
+def _new_panels(
+    plist: ClusterPairList,
+    params: NonbondedParams,
+    pos: np.ndarray,
+    chunk_pairs: int,
+) -> CompactPanels:
+    """Empty panels for ``plist`` anchored at ``pos`` (nothing kept yet)."""
+    tile = CLUSTER_SIZE * CLUSTER_SIZE
+    return CompactPanels(
+        bufs={},
+        cap=0,
+        n_kept=0,
+        e_full=np.zeros(plist.n_cluster_pairs * tile, dtype=pos.dtype),
+        w_full=np.zeros(plist.n_cluster_pairs * tile, dtype=np.float64),
+        f_sorted=np.empty((plist.n_slots, 3), dtype=np.float64),
+        anchor_pos=pos.copy(),
+        r_keep=params.r_cut + PRUNE_MARGIN,
+        half=plist.half,
+        has_shift_e=params.shift_lj,
+        chunk_lanes=chunk_pairs * tile,
+    )
+
+
+def _select(
+    cp: CompactPanels,
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    pos: np.ndarray,
+    panels: dict | None,
+    visit=None,
+) -> None:
+    """Anchor ``cp`` at ``pos`` with the valid lanes within ``r_keep``
+    there as its pending selection (sized once, for every valid lane).
+
+    One rounded fold per valid lane, block by block — the reference's
+    fold, so ``r2`` equals the reference's.  ``visit(lanes, vi, vj, r2,
+    s)`` sees each block's full-lane positions, slots and ``r2`` (the
+    first evaluation computes forces from them).
+    """
+    lanes = valid_lanes(system, plist, panels)
+    pcols = np.ascontiguousarray(pos.T)
+    box_arr = plist.box.array.astype(pos.dtype)
+    keep2 = pos.dtype.type(cp.r_keep) ** 2
+    block = max(1, min(LANE_BLOCK, len(lanes)))
+    s = _Scratch(block, pos.dtype, compact=visit is not None)
+    sel = np.empty(len(lanes), dtype=np.int32)
+    k = 0
+    for lo in range(0, len(lanes), block):
+        blk = lanes[lo : lo + block]
+        vi, vj = _lane_slots(plist, blk)
+        r2 = _fold(pcols, box_arr, vi, vj, s)
+        kept = np.flatnonzero(r2 < keep2)
+        sel[k : k + len(kept)] = kept + lo
+        k += len(kept)
+        if visit is not None:
+            visit(blk, vi, vj, r2, s)
+    cp.sel = sel[:k]
+    np.copyto(cp.anchor_pos, pos)
+
+
+def _fill(
     cp: CompactPanels,
     system: ParticleSystem,
     plist: ClusterPairList,
     params: NonbondedParams,
-    pos: np.ndarray,
     panels: dict | None,
 ) -> None:
-    """Anchor (or re-anchor) ``cp`` at ``pos``, in place.
+    """Fill the kept-lane buffers from the pending selection: slots,
+    full-lane positions and pair constants (none depend on positions).
 
-    Scans the valid lanes block by block for those within ``r_keep``,
-    then refills the kept-lane buffers.  When the kept set outgrows the
-    capacity, the old buffers are released before the larger set is
-    allocated, so a growth never holds two sets at once.
+    When the kept set outgrows the capacity, the old buffers are
+    released before the larger set is allocated, so a growth never
+    holds two sets at once.
     """
-    dtype = pos.dtype
-    dt = dtype.type
+    dtype = cp.e_full.dtype
     lanes = valid_lanes(system, plist, panels)
-    pcols = np.ascontiguousarray(pos.T)
-    box_arr = plist.box.array.astype(dtype)
-    block = max(1, min(LANE_BLOCK, len(lanes)))
-    s = _Scratch(block, dtype)
-
-    keep2 = dt(cp.r_keep) ** 2
-    pieces = []
-    for lo in range(0, len(lanes), block):
-        vi, vj = _lane_slots(plist, lanes[lo : lo + block])
-        r2 = _fold(pcols, box_arr, vi, vj, s)
-        pieces.append(np.flatnonzero(r2 < keep2).astype(np.int32) + np.int32(lo))
-    sel = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int32)
-    del pieces
+    sel, cp.sel = cp.sel, None
     k = len(sel)
-
     if not cp.bufs or k > cp.cap:
         cp.bufs = {}
         cp.cap = k + (k >> 4) + 1024
@@ -434,53 +577,28 @@ def _anchor(
     cp.n_kept = k
     cp.e_full.fill(0.0)
     cp.w_full.fill(0.0)
-    np.copyto(cp.anchor_pos, pos)
-
-    q = plist.gather(system.charges).astype(dtype)
-    types = plist.gather(system.topology.type_ids).astype(np.int64)
-    c6_tab = system.topology.c6_table.astype(dtype)
-    c12_tab = system.topology.c12_table.astype(dtype)
-    inv6 = (1.0 / params.r_cut) ** 6
     b = cp.bufs
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        kept = lanes[sel[lo:hi]]
-        b["lane_sel"][lo:hi] = kept
-        vi, vj = _lane_slots(plist, kept)
-        b["sidx"][lo:hi] = vi
-        b["sidx"][k + lo : k + hi] = vj
-        # Pair constants, exactly as the reference tiles form them
-        # (elementwise, so gathering to kept lanes first is exact), and
-        # the step-invariant products hoisted out of the pair kernel
-        # (they commute bit for bit with its in-kernel order): felec*qq,
-        # 6*c6, 12*c12 and the LJ shift constant.
-        fqq = b["fqq"][lo:hi]
-        np.multiply(q[vi], q[vj], out=fqq)
-        fqq *= dt(COULOMB_CONSTANT)
-        ti, tj = types[vi], types[vj]
-        c6, c12 = b["c6"][lo:hi], b["c12"][lo:hi]
-        c6[...] = c6_tab[ti, tj]
-        c12[...] = c12_tab[ti, tj]
-        np.multiply(c6, dt(6.0), out=b["c6_6"][lo:hi])
-        np.multiply(c12, dt(12.0), out=b["c12_12"][lo:hi])
-        if cp.has_shift_e:
-            # lj_shift_energy, in place: ((c12*inv6)*inv6) - (c6*inv6).
-            se = b["se"][lo:hi]
-            np.multiply(c12, inv6, out=se)
-            se *= inv6
-            t = s.t[0, : hi - lo]
-            np.multiply(c6, inv6, out=t)
-            se -= t
-        if cp.static_shift:
-            t = s.t[0, : hi - lo]
-            for c in range(3):
-                sh = b["shift"][c, lo:hi]
-                np.take(pcols[c], vi, out=sh, mode="clip")
-                np.take(pcols[c], vj, out=t, mode="clip")
-                sh -= t
-                sh /= box_arr[c]
-                np.round(sh, out=sh)
-                sh *= box_arr[c]
+    lane_sel = b["lane_sel"][:k]
+    np.take(lanes, sel, out=lane_sel)
+    del sel
+    cp.segs = _segments(lane_sel, cp.chunk_lanes, len(cp.e_full), cp.half)
+
+    tables = _slot_tables(system, plist, dtype)
+    block = max(1, min(LANE_BLOCK, k))
+    scratch = np.empty(block, dtype=dtype)
+    for a, z in cp.segs:
+        for lo in range(a, z, block):
+            hi = min(lo + block, z)
+            vi, vj = _lane_slots(plist, lane_sel[lo:hi])
+            b["sidx"][a + lo : a + hi] = vi
+            b["sidx"][z + lo : z + hi] = vj
+            _pair_constants(tables, vi, vj, b, lo, params, scratch[: hi - lo])
+
+
+def _panel_key(dtype, params: NonbondedParams, chunk_pairs: int) -> tuple:
+    # Different cutoffs never share a lane set, and the chunk size fixes
+    # the kept lanes' scatter layout.
+    return ("compact", np.dtype(dtype).str, params, chunk_pairs)
 
 
 def compact_panels(
@@ -489,60 +607,45 @@ def compact_panels(
     params: NonbondedParams,
     dtype: type = np.float64,
     panels: dict | None = None,
+    chunk_pairs: int = 65536,
 ) -> CompactPanels:
-    """Build (or fetch memoised) pruned lane panels for ``plist``.
+    """Filled pruned lane panels for ``plist``.
 
     ``panels`` is the caller's per-list panel memo (a `StepCache` list
-    memo's ``panels``; None builds throwaway panels).  The key includes
-    dtype and the nonbonded parameters, so different cutoffs never
-    share a lane set.  The anchor scan runs block by block over the
-    cached valid lanes — no ``(M, 4, 4, 3)`` broadcast — so a
-    drift-guard re-anchor costs a few streaming passes, not a tile
-    rebuild.
+    memo's ``panels``; None builds throwaway panels).  Memoised panels
+    are returned as they are, after filling a selection a first
+    evaluation left pending (at its own anchor); otherwise new panels
+    are anchored at the current positions.  The scan runs block by
+    block over the cached valid lanes — no ``(M, 4, 4, 3)`` broadcast.
     """
-    key = ("compact", np.dtype(dtype).str, params)
-    if panels is not None and key in panels:
-        return panels[key]
-    pos = plist.current_positions(system).astype(dtype)
-    r_keep = params.r_cut + PRUNE_MARGIN
-    n_lanes = plist.n_cluster_pairs * CLUSTER_SIZE * CLUSTER_SIZE
-    # Static PBC shifts are only safe when the worst-case kept-lane
-    # separation (anchor distance < r_keep plus guarded drift
-    # < r_keep - r_cut) stays under half the smallest box edge.
-    min_box = float(plist.box.array.astype(dtype).min())
-    cp = CompactPanels(
-        bufs={},
-        cap=0,
-        n_kept=0,
-        e_full=np.zeros(n_lanes, dtype=dtype),
-        w_full=np.zeros(n_lanes, dtype=np.float64),
-        f_sorted=np.empty((plist.n_slots, 3), dtype=np.float64),
-        anchor_pos=np.empty_like(pos),
-        r_keep=r_keep,
-        half=plist.half,
-        static_shift=2.0 * r_keep - params.r_cut < 0.5 * min_box - 1e-9,
-        has_shift_e=params.shift_lj,
-    )
-    _anchor(cp, system, plist, params, pos, panels)
-    if panels is not None:
-        panels[key] = cp
+    key = _panel_key(dtype, params, chunk_pairs)
+    cp = panels.get(key) if panels is not None else None
+    if cp is None:
+        pos = plist.current_positions(system).astype(dtype)
+        cp = _new_panels(plist, params, pos, chunk_pairs)
+        _select(cp, system, plist, pos, panels)
+        if panels is not None:
+            panels[key] = cp
+    if cp.sel is not None:
+        _fill(cp, system, plist, params, panels)
     return cp
 
 
 def _pair_terms_compact(
     r2: np.ndarray,
-    cp: CompactPanels,
+    consts: dict,
     lo: int,
     s: _Scratch,
     params: NonbondedParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`pair_force_energy` over kept lanes ``lo:lo+len(r2)``, in place.
+    """`pair_force_energy` over lanes ``lo:lo+len(r2)`` of the pair
+    constants ``consts`` (`_CONSTS`), in place.
 
     Performs the same floating-point operations in the same association
     order as :func:`repro.md.nonbonded.pair_force_energy` with an
     all-true mask (compact lanes are topology-valid by construction),
     with the step-invariant factors (``felec*qq``, ``6*c6``, ``12*c12``,
-    the LJ shift) taken pre-multiplied from the panels — products that
+    the LJ shift) taken pre-multiplied from ``consts`` — products that
     commute bit-for-bit.  Outputs are views into the scratch ``s`` and
     bitwise equal to the reference lane for lane (test-enforced on
     random inputs for every coulomb mode).
@@ -550,7 +653,7 @@ def _pair_terms_compact(
     dt = r2.dtype.type
     n = len(r2)
     hi = lo + n
-    b = cp.bufs
+    b = consts
     mask, nmask = s.mask[0, :n], s.mask[1, :n]
     safe_r2, inv_r2, inv_r6, e_lj, f_lj, t6, t7, t8, t9, t10 = (
         t[:n] for t in s.t
@@ -572,7 +675,7 @@ def _pair_terms_compact(
     e_lj *= inv_r6
     np.multiply(c6, inv_r6, out=t6)
     e_lj -= t6
-    if cp.has_shift_e:
+    if params.shift_lj:
         e_lj -= b["se"][lo:hi]
     np.multiply(c12_12, inv_r6, out=f_lj)
     f_lj *= inv_r6
@@ -637,95 +740,51 @@ def _drift2_max(
     return float(np.einsum("ij,ij->i", delta, delta).max())
 
 
-def compute_short_range_vectorized(
+def _finish(
     system: ParticleSystem,
     plist: ClusterPairList,
-    params: NonbondedParams,
-    dtype: type = np.float64,
-    chunk_pairs: int = 65536,
-    panels: dict | None = None,
+    cp: CompactPanels,
+    idx: np.ndarray,
+    fvec: np.ndarray,
+    segs: list[tuple[int, int]],
+    wb: np.ndarray,
+    n_in_cutoff: int,
 ) -> ShortRangeResult:
-    """Pruned-lane `compute_short_range` with memoised compact panels.
+    """The result of the lanes just evaluated, grouped as the reference
+    groups it.
 
-    Once per rebuild the 4x4 tiles are flattened to the lanes that are
-    topology-valid and within ``r_keep`` (:func:`compact_panels`,
-    memoised in the caller's ``panels``; None rebuilds them per call); per
-    step only gathers, one PBC fold, ``r2``, the pair kernel and the
-    force scatter run, block by block over the kept lanes.  A drift
-    guard re-anchors the panels whenever a particle has moved far
-    enough that a pruned lane could re-enter the cutoff (or a static
-    shift could flip), so results stay exact for arbitrary motion, not
-    just small MD steps.
-
-    The force scatter uses one ``np.bincount`` per component over the
-    concatenated i/j slot indices, which reproduces the reference's two
-    sequential ``np.add.at`` passes bit for bit (per-slot accumulation
-    order is preserved: surviving i contributions precede surviving j
-    contributions; dropped lanes contributed exact zeros).  Energy and
-    virial terms are scattered back into full-lane-shape zero panels
-    before the float64 sums so the pairwise reduction tree matches the
-    reference's exactly.
-
-    Lists larger than one chunk fall back to the chunked reference:
-    chunk boundaries interleave the accumulation grouping.  Large
-    systems do reach it (a 3000-particle water or ionic box has about
-    70,000 cluster pairs at ``r_list`` 1.0).
+    ``fvec`` (3, n) holds the lanes' force components and ``idx`` their
+    slots, laid out by ``segs`` (`_segments`).  One ``np.bincount`` per
+    component over weights laid out the same way (``wb``, float64)
+    reproduces the reference's sequential ``np.add.at`` passes bit for
+    bit: per slot, each chunk's i contributions, then its j
+    contributions, chunk by chunk (a dropped lane contributed exact
+    zeros).  Energy and virial sum each chunk's slice of the full-lane
+    panels ``e_full``/``w_full`` (the reference's reduction tree over
+    the same elements) and add the chunk sums in order.
     """
-    m_total = plist.n_cluster_pairs
-    if m_total > chunk_pairs:
-        return compute_short_range(
-            system, plist, params, dtype=dtype, chunk_pairs=chunk_pairs
-        )
-    cp = compact_panels(system, plist, params, dtype=dtype, panels=panels)
-    pos = plist.current_positions(system).astype(dtype)
-    box_arr = plist.box.array.astype(dtype)
-
-    margin = cp.r_keep - params.r_cut
-    if 4.0 * _drift2_max(pos, cp.anchor_pos, box_arr) > margin * margin:
-        # A pruned lane may have drifted inside the cutoff (or a static
-        # shift may no longer round the same way): re-anchor the panels
-        # at the current positions.
-        _anchor(cp, system, plist, params, pos, panels)
-
-    k = cp.n_kept
-    b = cp.bufs
-    sidx = b["sidx"]
-    pcols = np.ascontiguousarray(pos.T)
-    block = max(1, min(LANE_BLOCK, k))
-    s = _Scratch(block, dtype)
-    n_in_cutoff = 0
-    for lo in range(0, k, block):
-        hi = min(lo + block, k)
-        r2 = _fold(
-            pcols, box_arr, sidx[lo:hi], sidx[k + lo : k + hi], s,
-            b["shift"][:, lo:hi] if cp.static_shift else None,
-        )
-        f_scalar, e = _pair_terms_compact(r2, cp, lo, s, params)
-        n_in_cutoff += int(np.count_nonzero(f_scalar))
-        lane_sel = b["lane_sel"][lo:hi]
-        cp.e_full[lane_sel] = e
-        w = s.w[: hi - lo]
-        np.multiply(f_scalar, r2, out=w, dtype=np.float64)
-        cp.w_full[lane_sel] = w
-        for c in range(3):
-            np.multiply(f_scalar, s.d[c, : hi - lo], out=b["fvec"][c, lo:hi])
-    energy = 0.0 + float(cp.e_full.sum(dtype=np.float64))
-    virial = 0.0 + float(cp.w_full.sum())
-
-    n_weights = 2 * k if plist.half else k
-    scatter_idx = sidx[:n_weights]
-    wb = b["wb"][:n_weights]
-    f_sorted = cp.f_sorted
+    n = segs[-1][1]
+    n_weights = 2 * n if plist.half else n
+    idx, wb = idx[:n_weights], wb[:n_weights]
     for c in range(3):
-        np.copyto(wb[:k], b["fvec"][c, :k])
+        f = fvec[c]
         if plist.half:
-            np.negative(wb[:k], out=wb[k:])
-        f_sorted[:, c] = np.bincount(
-            scatter_idx, weights=wb, minlength=plist.n_slots
+            for a, z in segs:
+                np.copyto(wb[2 * a : a + z], f[a:z])
+                np.negative(f[a:z], out=wb[a + z : 2 * z])
+        else:
+            np.copyto(wb, f[:n])
+        cp.f_sorted[:, c] = np.bincount(
+            idx, weights=wb, minlength=plist.n_slots
         )
-
     forces = np.zeros((system.n_particles, 3), dtype=np.float64)
-    plist.scatter_add(forces, f_sorted)
+    plist.scatter_add(forces, cp.f_sorted)
+
+    energy = virial = 0.0
+    step = cp.chunk_lanes
+    for lo in range(0, len(cp.e_full), step):
+        energy += float(cp.e_full[lo : lo + step].sum(dtype=np.float64))
+        virial += float(cp.w_full[lo : lo + step].sum())
     if not plist.half:
         energy *= 0.5
         virial *= 0.5
@@ -735,6 +794,165 @@ def compute_short_range_vectorized(
         n_pairs_in_cutoff=n_in_cutoff,
         virial=virial,
     )
+
+
+def _first_evaluation(
+    cp: CompactPanels,
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    params: NonbondedParams,
+    pos: np.ndarray,
+    panels: dict | None,
+) -> ShortRangeResult:
+    """Evaluate at ``pos`` without kept-lane buffers, leaving the kept
+    lanes as ``cp``'s pending selection.
+
+    Rides `_select`'s scan: per block, the pair kernel runs only on the
+    lanes with ``0 < r2 < r_cut**2`` (every other lane contributes
+    exact zeros), then everything is scattered at once.  Outputs are
+    sized once, for every valid lane; only the part that is written
+    touches memory.
+    """
+    dt = pos.dtype.type
+    n = len(valid_lanes(system, plist, panels))
+    tables = _slot_tables(system, plist, pos.dtype)
+    cut2 = dt(params.r_cut) ** 2
+    # The in-cutoff lanes in lane order: full-lane positions and forces.
+    full = np.empty(n, dtype=np.int32)
+    fvec = np.empty((3, n), dtype=pos.dtype)
+    c = n_in_cutoff = 0
+
+    def evaluate(lanes, vi, vj, r2, s):
+        nonlocal c, n_in_cutoff
+        m = len(r2)
+        inside, positive = s.mask[0, :m], s.mask[1, :m]
+        np.less(r2, cut2, out=inside)
+        np.greater(r2, dt(0.0), out=positive)
+        inside &= positive
+        hit = np.flatnonzero(inside)
+        h = len(hit)
+        cr2 = s.c[0, :h]
+        np.take(r2, hit, out=cr2)
+        for d in range(3):
+            np.take(s.d[d, :m], hit, out=s.c[1 + d, :h])
+        _pair_constants(tables, vi[hit], vj[hit], s.k, 0, params, s.t[0, :h])
+        f_scalar, e = _pair_terms_compact(cr2, s.k, 0, s, params)
+        n_in_cutoff += int(np.count_nonzero(f_scalar))
+        hits = full[c : c + h]
+        np.take(lanes, hit, out=hits)
+        cp.e_full[hits] = e
+        w = s.w[:h]
+        np.multiply(f_scalar, cr2, out=w, dtype=np.float64)
+        cp.w_full[hits] = w
+        for d in range(3):
+            np.multiply(f_scalar, s.c[1 + d, :h], out=fvec[d, c : c + h])
+        c += h
+
+    _select(cp, system, plist, pos, panels, evaluate)
+    segs = _segments(full[:c], cp.chunk_lanes, len(cp.e_full), cp.half)
+    idx = np.empty(2 * c, dtype=np.int64)
+    for a, z in segs:
+        for lo in range(a, z, LANE_BLOCK):
+            hi = min(lo + LANE_BLOCK, z)
+            idx[a + lo : a + hi], idx[z + lo : z + hi] = _lane_slots(
+                plist, full[lo:hi]
+            )
+    del full
+    wb = np.empty(2 * c if plist.half else c, dtype=np.float64)
+    return _finish(system, plist, cp, idx, fvec, segs, wb, n_in_cutoff)
+
+
+def _steady(
+    cp: CompactPanels,
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    params: NonbondedParams,
+    pos: np.ndarray,
+) -> ShortRangeResult:
+    """Evaluate at ``pos`` over the filled kept lanes: gathers, one PBC
+    fold, ``r2``, the pair kernel and the scatter, block by block."""
+    k = cp.n_kept
+    b = cp.bufs
+    sidx = b["sidx"]
+    pcols = np.ascontiguousarray(pos.T)
+    box_arr = plist.box.array.astype(pos.dtype)
+    block = max(1, min(LANE_BLOCK, k))
+    s = _Scratch(block, pos.dtype)
+    n_in_cutoff = 0
+    for a, z in cp.segs:
+        for lo in range(a, z, block):
+            hi = min(lo + block, z)
+            r2 = _fold(
+                pcols, box_arr, sidx[a + lo : a + hi], sidx[z + lo : z + hi], s
+            )
+            f_scalar, e = _pair_terms_compact(r2, b, lo, s, params)
+            n_in_cutoff += int(np.count_nonzero(f_scalar))
+            lane_sel = b["lane_sel"][lo:hi]
+            cp.e_full[lane_sel] = e
+            w = s.w[: hi - lo]
+            np.multiply(f_scalar, r2, out=w, dtype=np.float64)
+            cp.w_full[lane_sel] = w
+            for c in range(3):
+                np.multiply(f_scalar, s.d[c, : hi - lo], out=b["fvec"][c, lo:hi])
+    return _finish(
+        system, plist, cp, sidx, b["fvec"], cp.segs, b["wb"], n_in_cutoff
+    )
+
+
+def compute_short_range_vectorized(
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    params: NonbondedParams,
+    dtype: type = np.float64,
+    chunk_pairs: int = 65536,
+    panels: dict | None = None,
+) -> ShortRangeResult:
+    """Pruned-lane `compute_short_range`, bit-identical for lists of
+    any size, with lane panels memoised in ``panels`` (the caller's
+    per-list memo; None evaluates without keeping any).
+
+    * **First evaluation** — ``panels`` holds no panels for this dtype,
+      these params and this ``chunk_pairs`` (or is None), or holds a
+      pending selection anchored at these very positions: one rounded
+      fold over the valid lanes, the pair kernel on the in-cutoff lanes
+      only, and the scatter (:func:`_first_evaluation`).  No kept-lane
+      buffer is built; the lanes within ``r_keep`` are kept as a
+      pending selection (one int32 each) plus the anchor positions.
+      A list evaluated once — a serve batch, a warmup, a minimiser
+      trial — never builds more.
+    * **Later evaluations** at other positions fill the kept-lane
+      buffers from that selection, once; then each step gathers, folds,
+      runs the pair kernel and scatters, block by block over the kept
+      lanes.  A drift guard re-anchors the panels (select and fill at
+      the current positions) whenever a particle has moved far enough
+      that a pruned lane could re-enter the cutoff, so results stay
+      exact for arbitrary motion, not just small MD steps.
+
+    Both paths group their sums as the reference's ``chunk_pairs``
+    chunks do (:func:`_finish`): forces scatter each chunk's i weights,
+    then its j weights, in one ``np.bincount`` per component, and energy
+    and virial add per-chunk sums of full-lane panels in chunk order.
+    A list within one chunk keeps one group.
+    """
+    pos = plist.current_positions(system).astype(dtype)
+    key = _panel_key(dtype, params, chunk_pairs)
+    cp = panels.get(key) if panels is not None else None
+    if cp is None or (cp.sel is not None and np.array_equal(pos, cp.anchor_pos)):
+        cp = _new_panels(plist, params, pos, chunk_pairs)
+        if panels is not None:
+            panels[key] = cp
+        return _first_evaluation(cp, system, plist, params, pos, panels)
+
+    box_arr = plist.box.array.astype(dtype)
+    margin = cp.r_keep - params.r_cut
+    if 4.0 * _drift2_max(pos, cp.anchor_pos, box_arr) > margin * margin:
+        # A pruned lane may have drifted inside the cutoff: re-anchor the
+        # panels at the current positions.  A pending selection is
+        # superseded.
+        _select(cp, system, plist, pos, panels)
+    if cp.sel is not None:
+        _fill(cp, system, plist, params, panels)
+    return _steady(cp, system, plist, params, pos)
 
 
 def compute_short_range_impl(

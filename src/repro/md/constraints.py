@@ -18,21 +18,11 @@ import numpy as np
 
 from repro.md.box import Box
 from repro.md.topology import Constraint
+from repro.util.scatter import scatter_add_rows
 
 
 class ConstraintError(RuntimeError):
     """Raised when SHAKE fails to converge (blown-up dynamics)."""
-
-
-def scatter_add_rows(
-    target: np.ndarray, index: np.ndarray, values: np.ndarray
-) -> None:
-    """``np.add.at(target, index, values)`` for (n, 3) rows, one column
-    at a time: numpy's fast path takes only 1-D operands.  Each element
-    gets the same additions in the same order, so the result is
-    bit-identical to the 2-D call."""
-    for k in range(target.shape[1]):
-        np.add.at(target[:, k], index, values[:, k])
 
 
 @dataclass

@@ -17,6 +17,7 @@ import numpy as np
 from repro.md.nonbonded import NonbondedParams, pair_force_energy
 from repro.md.pairlist import CLUSTER_SIZE, ClusterPairList
 from repro.md.system import ParticleSystem
+from repro.util.scatter import scatter_add_rows
 
 
 @dataclass
@@ -134,9 +135,9 @@ def compute_short_range(
         flat_i = slot_i.ravel()
         flat_j = slot_j.ravel()
         flat_f = fvec.reshape(-1, 3)
-        np.add.at(f_sorted, flat_i, flat_f)
+        scatter_add_rows(f_sorted, flat_i, flat_f)
         if plist.half:
-            np.add.at(f_sorted, flat_j, -flat_f)
+            scatter_add_rows(f_sorted, flat_j, -flat_f)
 
     forces = np.zeros((system.n_particles, 3), dtype=np.float64)
     plist.scatter_add(forces, f_sorted)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.md.box import Box
-from repro.md.constraints import ConstraintArrays, ConstraintError, scatter_add_rows
+from repro.md.constraints import ConstraintArrays, ConstraintError
 from repro.md.topology import Constraint
+from repro.util.scatter import scatter_add_rows
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from repro.md.box import Box
 from repro.md.cells import CellGrid
 from repro.md.system import ParticleSystem
 from repro.parallel.pool import as_input, shared_inputs
+from repro.util.scatter import scatter_add_rows
 
 CLUSTER_SIZE = 4
 
@@ -103,7 +104,7 @@ class ClusterPairList:
             raise ValueError(
                 f"sorted_values has {len(sorted_values)} slots, expected {self.n_slots}"
             )
-        np.add.at(target, self.perm[self.real], sorted_values[self.real])
+        scatter_add_rows(target, self.perm[self.real], sorted_values[self.real])
 
     def to_full(self) -> "ClusterPairList":
         """Duplicate every off-diagonal pair: the RCA full list (Algorithm 2)."""

@@ -67,3 +67,21 @@ def plist_lj(lj_small, nb_lj):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20190722)
+
+
+@pytest.fixture
+def panel_states():
+    """``"filled"`` or ``"pending"`` per lane-panel set a `StepCache`
+    holds: kept-lane buffers built, or only a first evaluation's
+    selection (DESIGN.md §13)."""
+    from repro.core.vectorized import CompactPanels
+
+    def states(cache) -> list[str]:
+        return [
+            "filled" if cp.bufs else "pending"
+            for memo in cache._memos.values()
+            for cp in memo.panels.values()
+            if isinstance(cp, CompactPanels)
+        ]
+
+    return states

@@ -6,13 +6,14 @@ import time
 import numpy as np
 import pytest
 
-from repro.md.constraints import ConstraintError, ShakeSolver, scatter_add_rows
+from repro.md.constraints import ConstraintError, ShakeSolver
 from repro.md.integrator import IntegratorConfig, LeapfrogIntegrator
 from repro.md.mdloop import MdConfig, MdLoop
 from repro.md.minimize import minimize
 from repro.md.nonbonded import NonbondedParams
 from repro.md.reporter import EnergyReporter
 from repro.md.water import build_lj_fluid, build_water_system
+from repro.util.scatter import scatter_add_rows
 
 
 class TestScatterAddRows:

@@ -12,8 +12,10 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.stepcache import StepCache
 from repro.serve.jobs import (
     BatchOutcome,
     InvalidRequestError,
@@ -185,3 +187,54 @@ class TestExecutors:
         outcome = execute_batch(reqs)
         assert outcome.payloads[0] == execute_request(reqs[0])
         assert outcome.payloads[1] == execute_request(reqs[1])
+
+
+class TestShortRangePanels:
+    """Serve evaluates each list once, so it never fills kept-lane
+    buffers; and a list above one reference chunk serves the same bits
+    under either kernel."""
+
+    def test_one_shot_batches_stay_pending(self, monkeypatch, panel_states):
+        from repro.serve.residency import ResidentCache, warmup_with
+
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+        seen = []
+        release = StepCache.release_panels
+
+        def check(cache):
+            seen.append(panel_states(cache))
+            release(cache)
+
+        monkeypatch.setattr(StepCache, "release_panels", check)
+        reqs = tuple(
+            JobRequest(**FAST, spec=s) for s in ("MARK", "CACHE", "VEC")
+        )
+        execute_batch(reqs)
+        warmup_with(ResidentCache(), reqs[0])
+        assert len(seen) == 2
+        assert all(states and set(states) == {"pending"} for states in seen)
+
+    def test_list_above_chunk_bit_identical_under_both_kernels(
+        self, monkeypatch
+    ):
+        from repro.core import vectorized
+
+        sizes = []
+        fast = vectorized.compute_short_range_vectorized
+
+        def spy(system, plist, *args, **kwargs):
+            sizes.append(plist.n_cluster_pairs)
+            return fast(system, plist, *args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "compute_short_range_vectorized", spy)
+        req = JobRequest(n_particles=3000, return_forces=True)
+        monkeypatch.setenv("REPRO_KERNEL", "scalar")
+        ref = execute_request(req)
+        monkeypatch.delenv("REPRO_KERNEL")
+        got = execute_request(req)
+        assert sizes and min(sizes) > 65536  # two reference chunks
+        ref_forces, got_forces = ref.pop("forces"), got.pop("forces")
+        assert np.array_equal(
+            got_forces.view(np.int64), ref_forces.view(np.int64)
+        )
+        assert got == ref
