@@ -57,18 +57,20 @@ from repro.core.deferred import replay_write_trace
 from repro.core.packing import package_views
 from repro.core.shuffle import transpose_4x3
 from repro.hw.simd import FloatV4, LANES, OpCounter
-from repro.md.forces import (
-    ShortRangeResult,
-    compute_short_range,
-    tile_indices,
-    tile_validity,
-)
+from repro.md.box import minimum_image_fold
+from repro.md.forces import ShortRangeResult, compute_short_range
 from repro.md.nonbonded import (
     COULOMB_CONSTANT,
     NonbondedParams,
     pair_force_energy,
 )
-from repro.md.pairlist import CLUSTER_SIZE, ClusterPairList
+from repro.md.pairlist import (
+    CLUSTER_SIZE,
+    LANE_BLOCK,
+    TILE_LANE_I,
+    TILE_LANE_J,
+    ClusterPairList,
+)
 from repro.md.system import ParticleSystem
 from repro.parallel.pool import as_input
 from repro.trace.events import CAT_COMPUTE, TraceEvent
@@ -235,12 +237,6 @@ def walk_fidelity_partition_vectorized(task):
 #: before the guard re-anchors.
 PRUNE_MARGIN = 0.20
 
-#: Lanes per block of the elementwise passes (the lane scan, the PBC
-#: fold and the pair kernel).  Their temporaries are sized to one block
-#: rather than to every kept lane; block boundaries never change a
-#: result, since every operation in those passes is elementwise.
-LANE_BLOCK = 16384
-
 #: Per-lane pair constants: ``felec*qq``, ``c6``, ``c12`` and the
 #: step-invariant products hoisted out of the pair kernel (``6*c6``,
 #: ``12*c12`` and, with ``shift_lj``, the LJ shift energy ``se``).
@@ -255,18 +251,44 @@ def valid_lanes(
     The lanes the reference mask (`tile_validity`) keeps, as positions
     in the flattened ``(M, 4, 4)`` tile block; slot pairs and pair
     constants are derived from them on demand (:func:`_lane_slots`).
-    Nothing here depends on positions, so a drift-guard re-anchor reuses
-    it and only redoes the positional scan.  Memoised in ``panels``, the
-    caller's per-list panel memo (None: no reuse).
+    Built block by block from per-cluster rows: each cluster's ``real``
+    and molecule-id row is laid out once as an i side and a j side of a
+    tile's 16 lanes (`TILE_LANE_I`, `TILE_LANE_J`), so a block's
+    ``(m, 16)`` tile masks are row gathers and flat compares; a
+    diagonal tile also takes the constant 4x4 triangle
+    (``a < b`` on a half list, ``a != b`` on a full one).  Nothing here
+    depends on positions, so a drift-guard re-anchor reuses it and only
+    redoes the positional scan.  Memoised in ``panels``, the caller's
+    per-list panel memo (None: no reuse).
     """
     if panels is not None and "lanes" in panels:
         return panels["lanes"]
-    ci = plist.pair_ci.astype(np.int64)
-    cj = plist.pair_cj.astype(np.int64)
-    slot_i, slot_j = tile_indices(ci, cj)
-    mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
-    valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol)
-    lanes = np.flatnonzero(valid.reshape(-1)).astype(np.int32)
+    mol = plist.gather(system.topology.mol_ids, fill=-1).reshape(-1, CLUSTER_SIZE)
+    real = plist.real.reshape(-1, CLUSTER_SIZE)
+    # np.take keeps the 16-lane rows C-contiguous (``mol[:, lanes]``
+    # would not), so each block gathers whole rows.
+    mol_i = np.take(mol, TILE_LANE_I, axis=1)
+    mol_j = np.take(mol, TILE_LANE_J, axis=1)
+    real_i = np.take(real, TILE_LANE_I, axis=1)
+    real_j = np.take(real, TILE_LANE_J, axis=1)
+    tri = TILE_LANE_I < TILE_LANE_J if plist.half else TILE_LANE_I != TILE_LANE_J
+    tile = CLUSTER_SIZE * CLUSTER_SIZE
+    m_total = plist.n_cluster_pairs
+    lanes = np.empty(m_total * tile, dtype=np.int32)
+    k = 0
+    step = max(1, LANE_BLOCK // tile)
+    for lo in range(0, m_total, step):
+        ci = plist.pair_ci[lo : lo + step]
+        cj = plist.pair_cj[lo : lo + step]
+        valid = real_i[ci]
+        valid &= real_j[cj]
+        valid &= mol_i[ci] != mol_j[cj]
+        valid[ci == cj] &= tri
+        hit = np.flatnonzero(valid)
+        hit += lo * tile
+        lanes[k : k + len(hit)] = hit
+        k += len(hit)
+    lanes = lanes[:k]
     if panels is not None:
         panels["lanes"] = lanes
     return lanes
@@ -322,44 +344,6 @@ class _Scratch:
         if compact:
             self.c = np.empty((4, n), dtype=dtype)
             self.k = {name: np.empty(n, dtype=dtype) for name in _CONSTS}
-
-
-def _fold(
-    pcols: np.ndarray,
-    box_arr: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    s: _Scratch,
-) -> np.ndarray:
-    """Minimum-image ``dr`` of lanes ``(ii, jj)`` into ``s.d``; returns
-    ``r2``.
-
-    The reference fold's elementwise operations in its order, one
-    position column at a time, rounding every lane's image afresh: the
-    slot positions are wrapped into the box, so a particle crossing a
-    face jumps a box edge, and an image stored at an anchor would go
-    stale unseen by the drift guard.  ``r2`` accumulates
-    ``x*x + y*y + z*z`` left to right, as ``np.sum`` over a 3-element
-    axis does.
-    """
-    n = len(ii)
-    t = s.t[0, :n]
-    for c in range(3):
-        dc = s.d[c, :n]
-        np.take(pcols[c], ii, out=dc, mode="clip")
-        np.take(pcols[c], jj, out=t, mode="clip")
-        dc -= t
-        np.divide(dc, box_arr[c], out=t)
-        np.round(t, out=t)
-        t *= box_arr[c]
-        dc -= t
-    r2 = s.r2[:n]
-    np.multiply(s.d[0, :n], s.d[0, :n], out=r2)
-    np.multiply(s.d[1, :n], s.d[1, :n], out=t)
-    r2 += t
-    np.multiply(s.d[2, :n], s.d[2, :n], out=t)
-    r2 += t
-    return r2
 
 
 def _slot_tables(
@@ -542,7 +526,7 @@ def _select(
     for lo in range(0, len(lanes), block):
         blk = lanes[lo : lo + block]
         vi, vj = _lane_slots(plist, blk)
-        r2 = _fold(pcols, box_arr, vi, vj, s)
+        r2 = minimum_image_fold(pcols, box_arr, vi, vj, s.d, s.r2, s.t[0])
         kept = np.flatnonzero(r2 < keep2)
         sel[k : k + len(kept)] = kept + lo
         k += len(kept)
@@ -882,8 +866,9 @@ def _steady(
     for a, z in cp.segs:
         for lo in range(a, z, block):
             hi = min(lo + block, z)
-            r2 = _fold(
-                pcols, box_arr, sidx[a + lo : a + hi], sidx[z + lo : z + hi], s
+            r2 = minimum_image_fold(
+                pcols, box_arr, sidx[a + lo : a + hi], sidx[z + lo : z + hi],
+                s.d, s.r2, s.t[0],
             )
             f_scalar, e = _pair_terms_compact(r2, b, lo, s, params)
             n_in_cutoff += int(np.count_nonzero(f_scalar))

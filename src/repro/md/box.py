@@ -68,3 +68,48 @@ class Box:
                 f"cutoff {r_cut} nm needs a box edge of at least {2 * r_cut} nm; "
                 f"box is {self.lengths}"
             )
+
+
+def minimum_image_fold(
+    cols: np.ndarray,
+    box_arr: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    d: np.ndarray,
+    r2: np.ndarray,
+    t: np.ndarray,
+) -> np.ndarray:
+    """Minimum-image ``cols[:, ii] - cols[:, jj]`` into ``d[:, :n]``
+    (``n = len(ii)``); returns ``r2[:n]``, the squared distances.
+
+    ``cols`` holds positions one column per coordinate, ``(3, slots)``;
+    ``d`` (3 rows), ``r2`` and the scratch ``t`` are caller-owned and at
+    least ``n`` long, so a blocked caller allocates them once.  The
+    result is bitwise that of `Box.minimum_image` on the ``(n, 3)``
+    displacements followed by ``np.sum(dr * dr, axis=-1)``: the same
+    elementwise operations in the same order, one column at a time
+    (gather, subtract, divide by the edge, round, multiply, subtract),
+    and ``r2`` accumulates ``x*x + y*y + z*z`` left to right, as
+    ``np.sum`` over a 3-element axis does.  Every image is rounded
+    afresh from the given positions, so the fold never goes stale when
+    a particle crosses a face.  ``box_arr`` carries the arithmetic's
+    dtype (float32 edges for float32 columns).
+    """
+    n = len(ii)
+    t = t[:n]
+    for c in range(3):
+        dc = d[c, :n]
+        np.take(cols[c], ii, out=dc, mode="clip")
+        np.take(cols[c], jj, out=t, mode="clip")
+        dc -= t
+        np.divide(dc, box_arr[c], out=t)
+        np.round(t, out=t)
+        t *= box_arr[c]
+        dc -= t
+    r2 = r2[:n]
+    np.multiply(d[0, :n], d[0, :n], out=r2)
+    np.multiply(d[1, :n], d[1, :n], out=t)
+    r2 += t
+    np.multiply(d[2, :n], d[2, :n], out=t)
+    r2 += t
+    return r2

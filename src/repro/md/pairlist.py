@@ -11,6 +11,13 @@ law applied in the kernel); the *full* list of the RCA baseline
 (Algorithm 2) duplicates every pair so each side updates only its own
 forces at the cost of doubled computation.
 
+The search's two distance filters (bounding spheres, then the exact 4x4
+test of §3.5's neighbour-search kernel) run through the short-range
+kernel's own fold, `repro.md.box.minimum_image_fold`, one position
+column at a time on flat lane arrays in blocks of `LANE_BLOCK` lanes: no
+``(B, 4, 4, 3)`` tensor, and every keep mask bitwise that of the
+``(..., 3)`` form.
+
 The list is rebuilt every ``nstlist`` steps with a buffer
 (``rlist > rcut``), as in the paper's Table 3 (nstlist = 10, rlist = 1.0).
 """
@@ -21,13 +28,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.md.box import Box
+from repro.md.box import Box, minimum_image_fold
 from repro.md.cells import CellGrid
 from repro.md.system import ParticleSystem
 from repro.parallel.pool import as_input, shared_inputs
 from repro.util.scatter import scatter_add_rows
 
 CLUSTER_SIZE = 4
+
+#: Lanes per block of the fold's passes: the pair search's two filters
+#: and the short-range kernel's lane scan, fold and pair kernel
+#: (`repro.core.vectorized`).  Their temporaries are sized to one block
+#: (16,384 lanes, 1,024 cluster-pair tiles) rather than to every lane;
+#: block boundaries never change a result, since every operation in
+#: those passes is elementwise per lane.
+LANE_BLOCK = 16384
+
+#: The tile lane layout: lane ``4a + b`` of a cluster pair's 16 pairs
+#: member ``TILE_LANE_I[4a + b] = a`` of the i cluster with member
+#: ``TILE_LANE_J[4a + b] = b`` of the j cluster (`forces.tile_indices`
+#: flattened).
+TILE_LANE_I = np.repeat(np.arange(CLUSTER_SIZE), CLUSTER_SIZE)
+TILE_LANE_J = np.tile(np.arange(CLUSTER_SIZE), CLUSTER_SIZE)
 
 
 @dataclass
@@ -197,6 +219,66 @@ def _cluster_particles(
     return perm, real, sorted_pos, pad_source
 
 
+def _fold_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, r2, t)`` float64 scratch of `minimum_image_fold` for ``n``
+    lanes."""
+    return np.empty((3, n)), np.empty(n), np.empty(n)
+
+
+def _candidate_pairs(
+    centers: np.ndarray, radii: np.ndarray, box: Box, rlist: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate cluster pairs ``(ci, cj)`` (int64, ``ci <= cj``, the
+    diagonal last): every pair whose centres lie within ``rlist + 2
+    r_max``, so no true pair can be missed."""
+    from scipy.spatial import cKDTree
+
+    n_clusters = len(centers)
+    r_max = float(radii.max()) if n_clusters else 0.0
+    search = rlist + 2.0 * r_max
+    diag = np.arange(n_clusters, dtype=np.int64)
+    if search >= box.min_edge / 2.0:
+        # KD-tree periodic queries require radius < half the box; fall back
+        # to the all-pairs candidate set (small systems only).
+        a, b = np.triu_indices(n_clusters, k=1)
+        return np.concatenate([a, diag]), np.concatenate([b, diag])
+    # boxsize requires strictly in-range coordinates.
+    pts = np.minimum(centers, np.nextafter(box.array, -np.inf))
+    tree = cKDTree(pts, boxsize=box.array)
+    pairs = tree.query_pairs(search, output_type="ndarray").astype(np.int64)
+    return np.concatenate([pairs[:, 0], diag]), np.concatenate([pairs[:, 1], diag])
+
+
+def _sphere_filter(
+    centers: np.ndarray,
+    radii: np.ndarray,
+    box: Box,
+    ci: np.ndarray,
+    cj: np.ndarray,
+    rlist: float,
+) -> np.ndarray:
+    """True where the bounding spheres of clusters ``ci`` and ``cj``
+    come within ``rlist`` (per-pair radii are tighter than the uniform
+    query radius).
+
+    Centre distances are the ``sqrt`` of `minimum_image_fold`'s ``r2``
+    over the centre columns, in blocks of `LANE_BLOCK` pairs: bitwise
+    `Box.distance` of the centre rows.
+    """
+    cols = np.ascontiguousarray(centers.T)
+    box_arr = box.array
+    n = len(ci)
+    block = max(1, min(LANE_BLOCK, n))
+    d, r2, t = _fold_scratch(block)
+    keep = np.empty(n, dtype=bool)
+    for lo in range(0, n, block):
+        bi, bj = ci[lo : lo + block], cj[lo : lo + block]
+        dist = minimum_image_fold(cols, box_arr, bi, bj, d, r2, t)
+        np.sqrt(dist, out=dist)
+        np.less_equal(dist, rlist + radii[bi] + radii[bj], out=keep[lo : lo + block])
+    return keep
+
+
 def build_pair_list(
     system: ParticleSystem,
     rlist: float,
@@ -211,15 +293,16 @@ def build_pair_list(
     (radius = rlist + 2 r_max, so no true pair can be missed); prefilter by
     per-pair bounding spheres; then (``exact_filter``) keep only pairs with
     an actual particle distance below ``rlist`` — the 4x4 distance work the
-    paper's §3.5 neighbour-search kernel performs.
+    paper's §3.5 neighbour-search kernel performs.  Both filters fold one
+    position column at a time through `minimum_image_fold`, block by
+    block, so their keep masks equal those of the ``(..., 3)`` form bit
+    for bit.
 
     ``backend`` (an `ExecutionBackend` or None for in-process) fans the
-    exact-filter chunks — the dominant cost on large systems — across
-    worker processes; chunk results concatenate in order, so the built
-    list is bit-identical regardless of backend.
+    exact-filter chunks across worker processes above ``chunk``
+    candidates (`_exact_cluster_filter`); chunk results concatenate in
+    order, so the built list is bit-identical regardless of backend.
     """
-    from scipy.spatial import cKDTree
-
     box = system.box
     box.check_cutoff(rlist)
     positions = box.wrap(system.positions)
@@ -227,28 +310,10 @@ def build_pair_list(
     perm, real, sorted_pos, pad_source = _cluster_particles(positions, box)
     centers, radii = _cluster_geometry(sorted_pos, box)
     n_clusters = len(centers)
-    r_max = float(radii.max()) if n_clusters else 0.0
-    search = rlist + 2.0 * r_max
-    if search >= box.min_edge / 2.0:
-        # KD-tree periodic queries require radius < half the box; fall back
-        # to the all-pairs candidate set (small systems only).
-        a, b = np.triu_indices(n_clusters, k=1)
-        ci = np.concatenate([a, np.arange(n_clusters)]).astype(np.int64)
-        cj = np.concatenate([b, np.arange(n_clusters)]).astype(np.int64)
-    else:
-        # boxsize requires strictly in-range coordinates.
-        pts = np.minimum(centers, np.nextafter(box.array, -np.inf))
-        tree = cKDTree(pts, boxsize=box.array)
-        pairs = tree.query_pairs(search, output_type="ndarray")
-        diag = np.arange(n_clusters, dtype=np.int64)
-        ci = np.concatenate([pairs[:, 0].astype(np.int64), diag])
-        cj = np.concatenate([pairs[:, 1].astype(np.int64), diag])
+    ci, cj = _candidate_pairs(centers, radii, box, rlist)
 
     if len(ci):
-        # Bounding-sphere prefilter (per-pair radii are tighter than the
-        # uniform query radius).
-        d = box.distance(centers[ci], centers[cj])
-        keep = d <= rlist + radii[ci] + radii[cj]
+        keep = _sphere_filter(centers, radii, box, ci, cj, rlist)
         ci, cj = ci[keep], cj[keep]
         if exact_filter and len(ci):
             keep = _exact_cluster_filter(
@@ -288,12 +353,36 @@ class _ExactFilterTask:
 
 
 def _exact_filter_job(task: _ExactFilterTask) -> np.ndarray:
-    """Boolean keep mask for one chunk (pure; runs in any process)."""
-    members = as_input(task.positions).reshape(-1, CLUSTER_SIZE, 3)
-    dr = members[task.ci, :, None, :] - members[task.cj, None, :, :]
-    dr -= task.box * np.round(dr / task.box)
-    r2 = np.sum(dr * dr, axis=-1)
-    return r2.min(axis=(1, 2)) < task.rlist * task.rlist
+    """Boolean keep mask for one chunk (pure; runs in any process).
+
+    Block by block over ``LANE_BLOCK // 16`` cluster pairs: lane
+    ``16m + 4a + b`` of a block pairs slot ``4*ci[m] + a`` with slot
+    ``4*cj[m] + b`` (`TILE_LANE_I`, `TILE_LANE_J`; the layout
+    `repro.core.vectorized._lane_slots` inverts), `minimum_image_fold`
+    gives the lanes' ``r2``, and a pair is kept when the smallest of its
+    16 is below ``rlist**2``.
+    """
+    cols = np.ascontiguousarray(as_input(task.positions).T)
+    tile = CLUSTER_SIZE * CLUSTER_SIZE
+    n = len(task.ci)
+    step = max(1, min(LANE_BLOCK // tile, n))
+    d, r2, t = _fold_scratch(step * tile)
+    slots_i = np.empty((step, tile), dtype=np.int64)
+    slots_j = np.empty((step, tile), dtype=np.int64)
+    cut2 = task.rlist * task.rlist
+    keep = np.empty(n, dtype=bool)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        si, sj = slots_i[: hi - lo], slots_j[: hi - lo]
+        np.multiply(task.ci[lo:hi, None], CLUSTER_SIZE, out=si)
+        si += TILE_LANE_I
+        np.multiply(task.cj[lo:hi, None], CLUSTER_SIZE, out=sj)
+        sj += TILE_LANE_J
+        lane_r2 = minimum_image_fold(
+            cols, task.box, si.reshape(-1), sj.reshape(-1), d, r2, t
+        )
+        np.less(lane_r2.reshape(-1, tile).min(axis=1), cut2, out=keep[lo:hi])
+    return keep
 
 
 def _exact_cluster_filter(
@@ -303,19 +392,15 @@ def _exact_cluster_filter(
     cj: np.ndarray,
     rlist: float,
     chunk: int = 262144,
-    serial_chunk: int = 8192,
     backend=None,
 ) -> np.ndarray:
     """True where some 4x4 particle distance of the cluster pair < rlist.
 
-    Chunked to bound the 16x distance-matrix memory; with a parallel
-    ``backend`` and more than one chunk, chunks run on worker processes
-    (same math, ordered concatenation — bit-identical output).  The
-    serial path iterates in much smaller blocks (``serial_chunk``) so
-    the per-block 4x4x3 float64 panels stay cache-resident — a ~1.6x
-    wall-clock win over letting the temporaries spill to main memory;
-    the keep mask is elementwise per pair, so block size never changes
-    the result.
+    One blocked job (`_exact_filter_job`) over every candidate; with a
+    parallel ``backend`` and more than ``chunk`` candidates, chunks of
+    ``chunk`` run the same job on worker processes (ordered
+    concatenation — bit-identical output, as the keep mask is
+    elementwise per pair).
     """
     box_arr = box.array
     if getattr(backend, "parallel", False) and len(ci) > chunk:
@@ -335,13 +420,7 @@ def _exact_cluster_filter(
                 ],
             )
         return np.concatenate(masks)
-    keep = np.empty(len(ci), dtype=bool)
-    for lo in range(0, len(ci), serial_chunk):
-        hi = min(len(ci), lo + serial_chunk)
-        keep[lo:hi] = _exact_filter_job(
-            _ExactFilterTask(sorted_pos, box_arr, ci[lo:hi], cj[lo:hi], rlist)
-        )
-    return keep
+    return _exact_filter_job(_ExactFilterTask(sorted_pos, box_arr, ci, cj, rlist))
 
 
 def brute_force_pairs(system: ParticleSystem, r_cut: float) -> set[tuple[int, int]]:

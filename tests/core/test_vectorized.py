@@ -30,11 +30,12 @@ from repro.core.vectorized import (
     compute_short_range_impl,
     compute_short_range_vectorized,
     resolve_kernel_impl,
+    valid_lanes,
 )
-from repro.md.forces import compute_short_range
+from repro.md.forces import compute_short_range, tile_indices, tile_validity
 from repro.md.nonbonded import NonbondedParams, pair_force_energy
 from repro.md.pairlist import build_pair_list
-from repro.md.water import build_water_system
+from repro.md.water import build_lj_mixture, build_water_system
 from repro.scenarios import concretize_text
 from repro.scenarios.registry import build_scenario
 from repro.trace.events import Tracer
@@ -526,6 +527,37 @@ class TestLaneBlocks:
         # Small drift: served from the re-anchored panels.
         system.positions = lattice + rng.normal(0.0, 0.004, lattice.shape)
         _assert_same_step(system, plist, params, dtype, panels)
+
+
+class TestValidLanes:
+    """`valid_lanes`, built block by block from per-cluster rows, keeps
+    exactly the lanes of the reference mask (`tile_validity`): padding
+    slots, intra-molecular pairs and the diagonal tiles' triangle,
+    across block boundaries (`LANE_BLOCK` patched small)."""
+
+    @pytest.mark.parametrize("lane_block", [257, vectorized.LANE_BLOCK])
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("case", ["water", "ljmix", "ionic"])
+    def test_equal_to_tile_validity(self, monkeypatch, case, half, lane_block):
+        monkeypatch.setattr(vectorized, "LANE_BLOCK", lane_block)
+        if case == "water":
+            system = build_water_system(600, seed=2019)
+        elif case == "ljmix":
+            system = build_lj_mixture(900, seed=5)  # one atom per molecule
+        else:
+            system, _ = build_scenario(
+                concretize_text("ionic@nacl n=900 elec=pme seed=3")
+            )
+        plist = build_pair_list(system, 0.9, half=half)
+        ci, cj = plist.pair_ci, plist.pair_cj
+        assert not plist.real.all()  # padding slots
+        assert np.any(ci == cj)  # diagonal tiles
+        slot_i, slot_j = tile_indices(ci, cj)
+        mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
+        want = np.flatnonzero(tile_validity(plist, ci, cj, slot_i, slot_j, mol))
+        got = valid_lanes(system, plist)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
 
 
 def _traced(fn):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.md.box import Box
+from repro.md.box import Box, minimum_image_fold
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -70,3 +70,62 @@ class TestBox:
         once = box.wrap(pts)
         np.testing.assert_allclose(box.wrap(once), once)
         assert np.all(once >= 0) and np.all(once < 1.7)
+
+
+def _row_form(pos, box_arr, ii, jj):
+    """The ``(n, 3)`` form the fold must reproduce: minimum image of the
+    displacement rows, then ``np.sum`` over the coordinate axis."""
+    dr = pos[ii] - pos[jj]
+    dr -= box_arr * np.round(dr / box_arr)
+    return dr, np.sum(dr * dr, axis=-1)
+
+
+class TestMinimumImageFold:
+    """`minimum_image_fold`, shared by the pair search and the
+    short-range kernel, is bitwise the row form: ``dr`` and ``r2``
+    compared as integer views.  Enough rows that a reassociated sum
+    (``x*x + (y*y + z*z)``) differs on many of them."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("near_half", [False, True])
+    def test_bitwise_row_form(self, dtype, near_half):
+        rng = np.random.default_rng(19)
+        box_arr = np.array([2.3, 3.1, 4.7], dtype=dtype)
+        n = 200_000
+        if near_half:
+            # Partners about half an edge apart: every image rounds at
+            # or next to .5.
+            a = rng.uniform(0.0, 1.0, (n, 3)) * box_arr
+            offset = 0.5 + rng.uniform(-1e-6, 1e-6, (n, 3))
+            b = a + np.where(rng.random((n, 3)) < 0.5, -1, 1) * offset * box_arr
+            pos = np.concatenate([a, b]).astype(dtype)
+            ii, jj = np.arange(n), np.arange(n, 2 * n)
+        else:
+            pos = (rng.uniform(-0.5, 1.5, (5000, 3)) * box_arr).astype(dtype)
+            ii, jj = rng.integers(0, len(pos), (2, n))
+        cols = np.ascontiguousarray(pos.T)
+        # Scratch longer than the lanes: the fold uses its first n.
+        d = np.empty((3, n + 7), dtype=dtype)
+        r2 = np.empty(n + 7, dtype=dtype)
+        t = np.empty(n + 7, dtype=dtype)
+        got = minimum_image_fold(cols, box_arr, ii, jj, d, r2, t)
+        want_dr, want_r2 = _row_form(pos, box_arr, ii, jj)
+        bits = np.int64 if dtype == np.float64 else np.int32
+        assert got.dtype == dtype and len(got) == n
+        assert np.array_equal(got.view(bits), want_r2.view(bits))
+        assert np.array_equal(d[:, :n].view(bits), want_dr.T.view(bits))
+
+    def test_distance_is_sqrt_of_fold(self):
+        # The pair search's bounding-sphere prefilter relies on this.
+        rng = np.random.default_rng(23)
+        box = Box((2.0, 3.0, 4.0))
+        pos = rng.uniform(-1.0, 5.0, (300, 3))
+        ii, jj = rng.integers(0, 300, (2, 4096))
+        d, r2, t = np.empty((3, 4096)), np.empty(4096), np.empty(4096)
+        folded = np.sqrt(
+            minimum_image_fold(
+                np.ascontiguousarray(pos.T), box.array, ii, jj, d, r2, t
+            )
+        )
+        want = box.distance(pos[ii], pos[jj])
+        assert np.array_equal(folded.view(np.int64), want.view(np.int64))

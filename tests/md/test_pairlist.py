@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 from repro.md.cells import CellGrid
 from repro.md.pairlist import (
     CLUSTER_SIZE,
+    ClusterPairList,
+    _candidate_pairs,
+    _cluster_geometry,
+    _cluster_particles,
     brute_force_pairs,
     build_pair_list,
     pair_list_covers,
 )
-from repro.md.water import build_lj_fluid
+from repro.md.water import build_lj_fluid, build_lj_mixture, build_water_system
+from repro.scenarios import concretize_text
+from repro.scenarios.registry import build_scenario
 
 
 class TestCellGrid:
@@ -217,3 +223,115 @@ class TestVectorizedOracles:
         if not _pair_list_covers_scalar(plist, far):
             assert not pair_list_covers(plist, far)
         assert pair_list_covers(plist, set()) is True
+
+
+def _oracle_exact_filter(sorted_pos, box, ci, cj, rlist):
+    """The exact filter as the pair search once computed it: a
+    ``(B, 4, 4, 3)`` displacement tensor per block, folded and summed
+    over its coordinate axis."""
+    members = sorted_pos.reshape(-1, CLUSTER_SIZE, 3)
+    keep = np.empty(len(ci), dtype=bool)
+    for lo in range(0, len(ci), 8192):
+        bi, bj = ci[lo : lo + 8192], cj[lo : lo + 8192]
+        dr = members[bi, :, None, :] - members[bj, None, :, :]
+        dr -= box.array * np.round(dr / box.array)
+        r2 = np.sum(dr * dr, axis=-1)
+        keep[lo : lo + 8192] = r2.min(axis=(1, 2)) < rlist * rlist
+    return keep
+
+
+def _oracle_pair_list(system, rlist, half):
+    """`build_pair_list` with the old filters: `Box.distance` for the
+    bounding-sphere prefilter and `_oracle_exact_filter`."""
+    box = system.box
+    perm, real, sorted_pos, pad_source = _cluster_particles(
+        box.wrap(system.positions), box
+    )
+    centers, radii = _cluster_geometry(sorted_pos, box)
+    ci, cj = _candidate_pairs(centers, radii, box, rlist)
+    keep = box.distance(centers[ci], centers[cj]) <= rlist + radii[ci] + radii[cj]
+    ci, cj = ci[keep], cj[keep]
+    keep = _oracle_exact_filter(sorted_pos, box, ci, cj, rlist)
+    ci, cj = ci[keep], cj[keep]
+    order = np.argsort(ci, kind="stable")
+    ci, cj = ci[order], cj[order]
+    plist = ClusterPairList(
+        box=box,
+        rlist=rlist,
+        half=True,
+        perm=perm,
+        real=real,
+        sorted_positions=sorted_pos,
+        pad_source=pad_source,
+        pair_ci=ci.astype(np.int32),
+        pair_cj=cj.astype(np.int32),
+        i_starts=np.searchsorted(ci, np.arange(len(centers) + 1)).astype(np.int64),
+    )
+    return plist if half else plist.to_full()
+
+
+def _takes_all_pairs(system, rlist):
+    """Whether the candidate search falls back to every cluster pair."""
+    box = system.box
+    _, _, sorted_pos, _ = _cluster_particles(box.wrap(system.positions), box)
+    _, radii = _cluster_geometry(sorted_pos, box)
+    return rlist + 2.0 * float(radii.max()) >= box.min_edge / 2.0
+
+
+def _assert_same_list(system, rlist, half):
+    got = build_pair_list(system, rlist, half=half)
+    want = _oracle_pair_list(system, rlist, half)
+    assert got.n_cluster_pairs > 0
+    for name in ("pair_ci", "pair_cj", "i_starts"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+_ORACLE_SYSTEMS = {
+    "water": lambda: build_water_system(1200, seed=2019),
+    "ionic": lambda: build_scenario(
+        concretize_text("ionic@nacl n=1500 elec=pme seed=3")
+    )[0],
+    "ljmix": lambda: build_lj_mixture(2000, seed=5),
+}
+
+
+class TestPairListOracle:
+    """The column-wise filters keep exactly the cluster pairs the
+    ``(B, 4, 4, 3)`` filters kept, on every system family, cutoff, list
+    kind and candidate branch, and across box faces."""
+
+    @pytest.fixture(scope="class", params=sorted(_ORACLE_SYSTEMS))
+    def system(self, request):
+        return _ORACLE_SYSTEMS[request.param]()
+
+    @pytest.mark.parametrize("displaced", [False, True])
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("rlist", [0.45, 0.5])
+    def test_equal_to_oracle(self, system, rlist, half, displaced):
+        moved = system.copy()
+        if displaced:
+            moved.positions += np.random.default_rng(29).normal(
+                0.0, 0.05, moved.positions.shape
+            )
+        else:
+            assert not _takes_all_pairs(moved, rlist)  # the KD-tree branch
+        _assert_same_list(moved, rlist, half)
+
+    @pytest.mark.parametrize("half", [True, False])
+    def test_all_pairs_branch(self, half):
+        system = build_water_system(600, seed=2019)
+        assert _takes_all_pairs(system, 0.9)
+        _assert_same_list(system, 0.9, half)
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_particles_on_both_sides_of_a_face(self, n):
+        system = build_lj_mixture(n, seed=7)
+        rng = np.random.default_rng(31)
+        picked = rng.choice(n, n // 6, replace=False)
+        axis = rng.integers(0, 3, len(picked))
+        # Within 1e-3 nm of a face, on either side of it.
+        system.positions[picked, axis] = rng.uniform(-1e-3, 1e-3, len(picked))
+        for half in (True, False):
+            _assert_same_list(system, 0.6, half)
