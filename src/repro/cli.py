@@ -478,24 +478,30 @@ def _cmd_run(args) -> int:
             workers=args.workers,
         )
     engine = SWGromacsEngine(system, config)
+    start = 0
     if args.restart:
         ckpt = load_checkpoint(args.restart)
         engine.restore(ckpt)
-        print(f"restarted from {args.restart} at step {ckpt.step}")
+        start = ckpt.step
+        print(f"restarted from {args.restart} at step {start}")
     result = engine.run(args.steps)
     print("step   E_total(kJ/mol)     T(K)")
     for frame in result.reporter.frames:
         print(f"{frame.step:5d} {frame.total:15.1f} {frame.temperature:8.1f}")
+    # Modelled time covers only the steps this invocation ran; the
+    # reporter and checkpoint counts span the whole trajectory.
     total = result.timing.total()
     print(f"\nmodelled chip time: {total * 1e3:.2f} ms "
-          f"({total / max(args.steps, 1) * 1e6:.1f} us/step)")
+          f"({total / max(args.steps - start, 1) * 1e6:.1f} us/step)")
     for kernel, frac in sorted(
         result.timing.fractions().items(), key=lambda kv: -kv[1]
     ):
         print(f"  {kernel:18s} {frac:6.1%}")
     if result.checkpoints_written:
-        print(f"\ncheckpoints: {result.checkpoints_written} written to "
-              f"{policy.checkpoint_path}")
+        every = policy.checkpoint_every
+        wrote = every and args.steps // every > start // every
+        where = f"to {policy.checkpoint_path}" if wrote else "before the restart"
+        print(f"\ncheckpoints: {result.checkpoints_written} written {where}")
     if result.fault_counts is not None:
         fc = result.fault_counts
         print(f"injected faults: {fc.dma_errors} DMA errors, "

@@ -31,43 +31,37 @@ from repro.core.kernels import (
     run_kernel,
 )
 from repro.core.pairlist_cpe import cache_study, search_kernel_seconds, search_trace
-from repro.core.stepcache import StepCache
-from repro.core.vectorized import resolve_kernel_impl
 from repro.hw.dma import DmaEngine
 from repro.hw.params import ChipParams, DEFAULT_PARAMS
 from repro.hw.perf import KernelTiming
-from repro.md.constraints import build_constraint_solver
-from repro.md.integrator import IntegratorConfig, LeapfrogIntegrator
+from repro.md.integrator import IntegratorConfig
 from repro.md.mdloop import (
+    KERNEL_CHECKPOINT,
     KERNEL_COMM,
     KERNEL_CONSTRAINTS,
     KERNEL_FORCE,
     KERNEL_NEIGHBOR,
     KERNEL_OUTPUT,
     KERNEL_UPDATE,
+    MdDriver,
 )
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import build_pair_list
-from repro.md.reporter import EnergyFrame, EnergyReporter
+from repro.md.reporter import EnergyReporter
 from repro.md.system import ParticleSystem
 from repro.parallel.pool import shared_backend
 from repro.resilience import (
     MODE_MPE_FALLBACK,
-    CheckpointError,
     DegradationReport,
     FaultCounts,
     MdCheckpoint,
     ResiliencePolicy,
-    capture,
     degraded_chip,
     plan_degradation,
-    save_checkpoint,
 )
-from repro.resilience import restore as restore_checkpoint_state
 from repro.trace.events import (
     CAT_CHECKPOINT,
     CAT_FAULT,
-    CAT_STEP,
     MPE_TRACK,
     NULL_TRACER,
     NullTracer,
@@ -77,7 +71,6 @@ KERNEL_DOMAIN_DECOMP = "Domain decomp."
 KERNEL_WAIT_COMM_F = "Wait + comm. F"
 KERNEL_BUFFER_OPS = "NB X/F buffer ops"
 KERNEL_FAULT_RETRY = "Fault retries"
-KERNEL_CHECKPOINT = "Checkpoint"
 
 #: Workflow-kernel cost constants (MPE cycles), set so the level-0 MPE
 #: run reproduces the paper's Table 1 case-1 fractions (force ~95 %,
@@ -198,8 +191,8 @@ class EngineResult:
         }
 
 
-class SWGromacsEngine:
-    """MD on the simulated chip with per-kernel modelled timing."""
+class SWGromacsEngine(MdDriver):
+    """MD on the simulated chip: every phase is booked as modelled time."""
 
     def __init__(
         self,
@@ -207,32 +200,26 @@ class SWGromacsEngine:
         config: EngineConfig | None = None,
         tracer: NullTracer = NULL_TRACER,
     ) -> None:
-        self.system = system
-        self.config = config or EngineConfig()
-        #: Timeline tracer.  Step phases land on the MPE track with their
-        #: *modelled* durations; the force kernel additionally lays out
-        #: its per-CPE compute and DMA phases whenever the pair list is
-        #: rebuilt (see `repro.core.kernels.run_kernel`).
-        self.tracer = tracer
-        self.shake = build_constraint_solver(
-            system, self.config.constraint_algorithm
-        )
-        self.integrator = LeapfrogIntegrator(self.config.integrator, self.shake)
-        #: Execution backend for fan-out work (process-wide shared
-        #: instance when selected by name/env; never closed here).
-        self.backend = shared_backend(self.config.backend, self.config.workers)
-        #: Record of the force-kernel impl ``REPRO_KERNEL`` selected at
-        #: construction; each evaluation resolves it again (DESIGN.md §13).
-        self.kernel_impl = resolve_kernel_impl()
-        self.pairlist = None
+        # The force phase is the short range only: bonded terms would be
+        # integrated without their forces.
+        topo = system.topology
+        terms = [
+            f"{len(getattr(topo, name))} {name}"
+            for name in ("bonds", "angles", "dihedrals")
+            if getattr(topo, name)
+        ]
+        if terms:
+            raise ValueError(
+                "SWGromacsEngine evaluates no bonded forces; the topology "
+                f"has {', '.join(terms)}"
+            )
+        #: Step phases land on the MPE track with their *modelled*
+        #: durations; the force kernel additionally lays out its per-CPE
+        #: compute and DMA phases whenever the pair list is rebuilt (see
+        #: `repro.core.kernels.run_kernel`).
+        super().__init__(system, config or EngineConfig(), tracer)
         self._cached_force_model: KernelResult | None = None
         self._cached_ns_seconds: float | None = None
-        #: Pairlist-interval reuse layer: shares the functional force
-        #: evaluation between the rebuild-step kernel model and the step
-        #: loop, plus all pairlist-topology analysis across the interval.
-        #: Invalidated before every rebuild and on restore() (DESIGN.md
-        #: §8); tests assign a `NullStepCache` for the reuse-off baseline.
-        self.stepcache = StepCache()
         #: Seeded fault oracle for this run (None = perfect hardware).
         policy = self.config.resilience
         self.fault_plan = policy.build_fault_plan()
@@ -252,22 +239,6 @@ class SWGromacsEngine:
         )
         #: Last degradation decision (refreshed at every list rebuild).
         self.degradation: DegradationReport | None = None
-        self._start_step = 0
-        self._next_step = 0
-        self._pairlist_rebuild_step = 0
-        self._pairlist_ref_positions: np.ndarray | None = None
-        self._restart_ref_positions: np.ndarray | None = None
-        self._checkpoints_written = 0
-        #: Accounting carried through restore() so a restarted run's
-        #: EngineResult matches the uninterrupted one.
-        self._restored_history: dict | None = None
-        self._reporter: EnergyReporter | None = None
-
-    def _add(self, timing: KernelTiming, kernel: str, seconds: float) -> None:
-        """Record one modelled step-phase duration (timing + trace)."""
-        timing.add(kernel, seconds)
-        if self.tracer.enabled:
-            self.tracer.emit_seconds(kernel, CAT_STEP, MPE_TRACK, seconds)
 
     # ------------------------------------------------------------------
     # per-kernel modelled costs
@@ -372,13 +343,8 @@ class SWGromacsEngine:
             )
         return report
 
-    def _rebuild(self, timing: KernelTiming, step: int = 0) -> None:
-        """Rebuild the pair list + cached kernel cost model at ``step``.
-
-        Builds from the *current* system positions; the restart path
-        temporarily swaps in the checkpointed reference positions so the
-        regenerated list is bit-identical to the interrupted run's.
-        """
+    def _build_pairlist(self, timing: KernelTiming) -> None:
+        """Rebuild the pair list + cached kernel cost model."""
         cfg = self.config
         chip = cfg.chip
         spec = cfg.force_spec
@@ -392,7 +358,6 @@ class SWGromacsEngine:
                 # Repartition over survivors: the same kernel costed
                 # against a narrower core group.
                 chip = degraded_chip(chip, report)
-        self.stepcache.invalidate()
         self.pairlist = build_pair_list(
             self.system, self.config.nonbonded.r_list, backend=self.backend
         )
@@ -409,23 +374,6 @@ class SWGromacsEngine:
         self._cached_ns_seconds = self._ns_seconds(chip)
         self._add(timing, KERNEL_NEIGHBOR, self._cached_ns_seconds)
         self._add(timing, KERNEL_DOMAIN_DECOMP, self._dd_seconds())
-        self._pairlist_rebuild_step = step
-        self._pairlist_ref_positions = self.system.positions.copy()
-
-    def _rebuild_from_checkpoint(self, timing: KernelTiming) -> None:
-        """Regenerate the mid-interval pair list after a restart."""
-        if self._restart_ref_positions is None:
-            raise CheckpointError(
-                "restarted mid pair-list interval but the checkpoint "
-                "carried no reference positions"
-            )
-        saved = self.system.positions
-        self.system.positions = self._restart_ref_positions
-        try:
-            self._rebuild(timing, self._pairlist_rebuild_step)
-        finally:
-            self.system.positions = saved
-            self._restart_ref_positions = None
 
     def _replay_dma_faults(self) -> float:
         """Charge DMA retry overhead for one step's force-kernel traffic.
@@ -456,170 +404,66 @@ class SWGromacsEngine:
             )
         return dma.stats.retry_seconds - before
 
-    def _history_dict(self) -> dict:
-        """Accumulated accounting to stow in a checkpoint (v2)."""
-        frames = self._reporter.frames if self._reporter is not None else []
-        return {
-            "checkpoints_written": int(self._checkpoints_written),
-            "reporter_frames": [
-                [f.step, f.potential, f.kinetic, f.temperature]
-                for f in frames
-            ],
-        }
-
-    def checkpoint(self, step: int | None = None) -> MdCheckpoint:
-        """Snapshot the run (``step`` = next step to execute)."""
-        return capture(
-            self.system,
-            self.integrator,
-            step=self._next_step if step is None else step,
-            pairlist_rebuild_step=self._pairlist_rebuild_step,
-            pairlist_ref_positions=self._pairlist_ref_positions,
-            meta={
-                "level": self.config.level_name,
-                "n_particles": self.system.n_particles,
-            },
-            history=self._history_dict(),
+    # ------------------------------------------------------------------
+    # step phases (the hooks of MdDriver.run)
+    # ------------------------------------------------------------------
+    def compute_forces(self, timing: KernelTiming) -> tuple[np.ndarray, float]:
+        """Functional short-range forces (mixed precision, identical to
+        the modelled kernel's output), booked at the cached kernel
+        analysis's modelled time.  At rebuild steps the kernel model
+        already evaluated these exact forces — the step cache hands the
+        shared result back instead of recomputing it."""
+        sr = self.stepcache.short_range(
+            self.system, self.pairlist, self.config.nonbonded, dtype=np.float32
         )
+        self._add(timing, KERNEL_FORCE, self._cached_force_model.elapsed_seconds)
+        if self._fault_dma is not None:
+            self._add(timing, KERNEL_FAULT_RETRY, self._replay_dma_faults())
+        return sr.forces, sr.energy
 
-    def restore(self, ckpt: MdCheckpoint) -> None:
-        """Resume from a checkpoint: the next :meth:`run` continues at
-        ``ckpt.step`` and reproduces the uninterrupted run bit-for-bit."""
-        if tuple(ckpt.box_lengths) != tuple(
-            float(v) for v in self.system.box.lengths
-        ):
-            raise CheckpointError(
-                f"checkpoint box {ckpt.box_lengths} != system box "
-                f"{tuple(self.system.box.lengths)}"
-            )
-        restore_checkpoint_state(ckpt, self.system, self.integrator)
-        self._start_step = self._next_step = ckpt.step
-        self._pairlist_rebuild_step = ckpt.pairlist_rebuild_step
-        self._restart_ref_positions = ckpt.pairlist_ref_positions
-        self.pairlist = None
-        self._cached_force_model = None
-        self._cached_ns_seconds = None
-        self.stepcache.invalidate()
-        if ckpt.history is not None:
-            self._restored_history = dict(ckpt.history)
-        else:
-            # Pre-v2 checkpoint: reconstruct the counter; reporter
-            # history is unrecoverable and restarts empty.
-            every = self.config.resilience.checkpoint_every
-            self._restored_history = {
-                "checkpoints_written": ckpt.step // every if every else 0,
-                "reporter_frames": [],
-            }
+    def _integrate(self, timing: KernelTiming, forces: np.ndarray) -> None:
+        self.integrator.step(self.system, forces)
+        upd, con = self._update_constraint_seconds()
+        self._add(timing, KERNEL_UPDATE, upd)
+        if con:
+            self._add(timing, KERNEL_CONSTRAINTS, con)
 
-    def _checkpoint_seconds(self, ckpt: MdCheckpoint) -> float:
-        """Modelled cost of one checkpoint write (binary, no formatting):
-        write + fsync + rename syscalls plus the payload at disk rate."""
+    def _report(self, timing: KernelTiming, step: int, potential: float) -> None:
+        self._comm_timing(timing)
+        self._record(step, potential)
+
+    def _output(self, timing: KernelTiming) -> None:
+        self._add(timing, KERNEL_OUTPUT, self._io_seconds())
+
+    def _checkpoint_meta(self) -> dict:
+        return {"level": self.config.level_name}
+
+    def _book_checkpoint(
+        self, timing: KernelTiming, ckpt: MdCheckpoint, seconds: float
+    ) -> None:
+        """Book the modelled cost of one checkpoint write (binary, no
+        formatting): write + fsync + rename syscalls plus the payload at
+        disk rate.  The measured ``seconds`` of the host write are not
+        chip time."""
         chip = self.config.chip
         nbytes = ckpt.positions.nbytes + ckpt.velocities.nbytes
         if ckpt.pairlist_ref_positions is not None:
             nbytes += ckpt.pairlist_ref_positions.nbytes
-        return 3.0 * chip.io_syscall_s + nbytes / (
-            chip.io_disk_bandwidth_gbs * 1e9
-        )
-
-    def _write_checkpoint(self, timing: KernelTiming, next_step: int) -> None:
-        policy = self.config.resilience
-        # Count the in-flight checkpoint before capturing so its own
-        # history includes it — a restart from this file has "written" it.
-        self._checkpoints_written += 1
-        ckpt = self.checkpoint(next_step)
-        save_checkpoint(ckpt, policy.checkpoint_path)
-        t = self._checkpoint_seconds(ckpt)
+        t = 3.0 * chip.io_syscall_s + nbytes / (chip.io_disk_bandwidth_gbs * 1e9)
         timing.add(KERNEL_CHECKPOINT, t)
         if self.tracer.enabled:
             self.tracer.emit_seconds(
                 "checkpoint_write", CAT_CHECKPOINT, MPE_TRACK, t,
-                step=next_step, path=policy.checkpoint_path,
+                step=ckpt.step, path=self.config.resilience.checkpoint_path,
             )
 
-    # ------------------------------------------------------------------
-    # driving
-    # ------------------------------------------------------------------
-    def run(self, n_steps: int, progress=None) -> EngineResult:
-        """Run ``n_steps`` of real dynamics, accumulating modelled time.
-
-        After :meth:`restore` the loop continues from the checkpointed
-        step, so ``n_steps`` is always the *total* step count of the
-        trajectory, matching an uninterrupted run.
-
-        ``progress`` is an optional observer with an
-        ``update(steps_done, steps_total)`` method (see
-        :class:`repro.durable.progress.ProgressWriter`), called once per
-        completed step; it cannot affect results.
-        """
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be non-negative: {n_steps}")
-        cfg = self.config
-        policy = cfg.resilience
-        timing = KernelTiming()
-        hist = self._restored_history or {}
-        reporter = EnergyReporter(interval=cfg.report_interval)
-        reporter.frames.extend(
-            EnergyFrame(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-            for r in hist.get("reporter_frames", [])
-        )
-        # Restart-invariant accounting: resume from the restored base
-        # (zero on a fresh start, so repeated run() calls don't inherit
-        # earlier counts).
-        self._checkpoints_written = int(hist.get("checkpoints_written", 0))
-        self._reporter = reporter
-
-        for step in range(self._start_step, n_steps):
-            if step % cfg.nonbonded.nstlist == 0:
-                self._rebuild(timing, step)
-            elif self.pairlist is None:
-                self._rebuild_from_checkpoint(timing)
-            # Functional force (mixed precision, identical to the modelled
-            # kernel's functional output); modelled time from the cached
-            # kernel analysis.  At rebuild steps the kernel model already
-            # evaluated these exact forces — the step cache hands the
-            # shared result back instead of recomputing it.
-            sr = self.stepcache.short_range(
-                self.system, self.pairlist, cfg.nonbonded, dtype=np.float32
-            )
-            self._add(timing, KERNEL_FORCE, self._cached_force_model.elapsed_seconds)
-            if self._fault_dma is not None:
-                self._add(timing, KERNEL_FAULT_RETRY, self._replay_dma_faults())
-
-            self.integrator.step(self.system, sr.forces)
-            self._next_step = step + 1
-            upd, con = self._update_constraint_seconds()
-            self._add(timing, KERNEL_UPDATE, upd)
-            if con:
-                self._add(timing, KERNEL_CONSTRAINTS, con)
-
-            self._comm_timing(timing)
-
-            # Kinetic energy and temperature are only observable through
-            # the reporter, so off-interval steps skip both reductions.
-            if step % reporter.interval == 0:
-                reporter.maybe_record(
-                    step,
-                    sr.energy,
-                    self.system.kinetic_energy(),
-                    self.system.temperature(),
-                )
-            if cfg.output_interval and step % cfg.output_interval == 0:
-                self._add(timing, KERNEL_OUTPUT, self._io_seconds())
-            if (
-                policy.checkpoint_every
-                and (step + 1) % policy.checkpoint_every == 0
-            ):
-                self._write_checkpoint(timing, step + 1)
-            if progress is not None:
-                progress.update(step + 1, n_steps)
-
+    def _result(self, n_steps: int, timing: KernelTiming) -> EngineResult:
         return EngineResult(
             system=self.system,
-            reporter=reporter,
+            reporter=self._reporter,
             timing=timing,
             n_steps=n_steps,
-            level=cfg.level_name,
+            level=self.config.level_name,
             force_result=self._cached_force_model,
             degradation=self.degradation,
             fault_counts=(
@@ -633,7 +477,7 @@ class SWGromacsEngine:
         times amortise the nstlist-periodic work)."""
         timing = KernelTiming()
         if self.pairlist is None:
-            self._rebuild(KernelTiming())
+            self._rebuild_pairlist(KernelTiming())
         nstlist = self.config.nonbonded.nstlist
         timing.add(KERNEL_NEIGHBOR, self._cached_ns_seconds / nstlist)
         timing.add(KERNEL_DOMAIN_DECOMP, self._dd_seconds() / nstlist)

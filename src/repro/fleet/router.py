@@ -595,8 +595,9 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    async def _fetch_worker_stats(self) -> dict[str, dict | None]:
-        """Best-effort live stats from every alive worker, in parallel."""
+    async def _fetch_from_workers(self, op: str) -> dict[str, dict | None]:
+        """Best-effort ``op`` (``stats`` or ``metrics``) from every alive
+        worker, in parallel; the op name is also the response key."""
         names = self.registry.alive()
 
         async def fetch(name: str) -> dict | None:
@@ -604,29 +605,10 @@ class FleetRouter:
             try:
                 response = await send_request(
                     parse_address(info.address),
-                    {"op": "stats"},
+                    {"op": op},
                     timeout=self.config.worker_op_timeout_s,
                 )
-                return response.get("stats")
-            except (ConnectionError, asyncio.TimeoutError):
-                return None
-
-        results = await asyncio.gather(*(fetch(n) for n in names))
-        return dict(zip(names, results))
-
-    async def _fetch_worker_metrics(self) -> dict[str, dict | None]:
-        """Best-effort per-tenant SLO metrics from every alive worker."""
-        names = self.registry.alive()
-
-        async def fetch(name: str) -> dict | None:
-            info = self.registry.get(name)
-            try:
-                response = await send_request(
-                    parse_address(info.address),
-                    {"op": "metrics"},
-                    timeout=self.config.worker_op_timeout_s,
-                )
-                return response.get("metrics")
+                return response.get(op)
             except (ConnectionError, asyncio.TimeoutError):
                 return None
 
@@ -719,7 +701,7 @@ class FleetRouter:
                 )
             return {"ok": True, "result": await job.future}
         if op == "stats":
-            worker_stats = await self._fetch_worker_stats()
+            worker_stats = await self._fetch_from_workers("stats")
             return {
                 "ok": True,
                 "stats": self._aggregate_stats(worker_stats),
@@ -733,14 +715,14 @@ class FleetRouter:
                 },
             }
         if op == "metrics":
-            worker_metrics = await self._fetch_worker_metrics()
+            worker_metrics = await self._fetch_from_workers("metrics")
             return {
                 "ok": True,
                 "metrics": _merge_metrics(worker_metrics),
                 "workers": worker_metrics,
             }
         if op == "fleet":
-            worker_stats = await self._fetch_worker_stats()
+            worker_stats = await self._fetch_from_workers("stats")
             workers = self.registry.as_dict()
             for name, stats in worker_stats.items():
                 workers[name]["stats"] = stats

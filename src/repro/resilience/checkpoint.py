@@ -216,7 +216,7 @@ def capture(
     history: dict | None = None,
     trajectory: np.ndarray | None = None,
 ) -> MdCheckpoint:
-    """Snapshot a driver's state (shared by MdLoop and SWGromacsEngine)."""
+    """Snapshot a driver's state (`repro.md.mdloop.MdDriver.checkpoint`)."""
     return MdCheckpoint(
         step=step,
         positions=system.positions.copy(),
@@ -236,12 +236,19 @@ def capture(
 
 
 def restore(ckpt: MdCheckpoint, system, integrator) -> None:
-    """Load a checkpoint's state into a driver's system + integrator."""
+    """Load a checkpoint's state into a driver's system + integrator.
+
+    Refuses a checkpoint of another particle count or another box: its
+    positions would be wrapped and paired under the wrong periodicity.
+    """
     if ckpt.n_particles != system.n_particles:
         raise CheckpointError(
             f"checkpoint has {ckpt.n_particles} particles, "
             f"system has {system.n_particles}"
         )
+    box = tuple(float(v) for v in system.box.lengths)
+    if tuple(ckpt.box_lengths) != box:
+        raise CheckpointError(f"checkpoint box {ckpt.box_lengths} != system box {box}")
     system.positions = ckpt.positions.copy()
     system.velocities = ckpt.velocities.copy()
     integrator.set_state(ckpt.integrator_state)

@@ -13,6 +13,7 @@ fixed-cutoff paper figures (ladder/overall at 1.0 nm) at n=1500.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from pathlib import Path
@@ -100,6 +101,23 @@ class TestRunCommands:
         ) == 0
         assert Path(ckpt).exists()
         capsys.readouterr()
+
+    def test_restart_prints_totals_of_this_invocation(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "state.ckpt")
+        assert main(
+            ["run", *TINY, "-s", "12", "--checkpoint-every", "4",
+             "--checkpoint-path", ckpt]
+        ) == 0
+        assert f"checkpoints: 3 written to {ckpt}" in capsys.readouterr().out
+        assert main(["run", *TINY, "-s", "16", "--restart", ckpt]) == 0
+        out = capsys.readouterr().out
+        match = re.search(r"chip time: ([\d.]+) ms \(([\d.]+) us/step\)", out)
+        total_ms, per_step_us = float(match[1]), float(match[2])
+        # Steps 12..15 ran here; both figures are printed rounded.
+        ran = 4
+        assert abs(per_step_us - total_ms * 1e3 / ran) <= 0.005e3 / ran + 0.05
+        # The three checkpoints came from the first invocation.
+        assert "checkpoints: 3 written before the restart" in out
 
     def test_trace(self, capsys, tmp_path):
         out_path = str(tmp_path / "trace.json")
