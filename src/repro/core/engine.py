@@ -220,7 +220,6 @@ class SWGromacsEngine(MdDriver):
         super().__init__(system, config or EngineConfig(), tracer)
         self._cached_force_model: KernelResult | None = None
         self._cached_ns_seconds: float | None = None
-        #: Seeded fault oracle for this run (None = perfect hardware).
         policy = self.config.resilience
         self.fault_plan = policy.build_fault_plan()
         #: Private DMA engine that replays the force kernel's recorded
@@ -330,7 +329,12 @@ class SWGromacsEngine(MdDriver):
         spec = self.fault_plan.spec
         if not (spec.cpe_fail_rate or spec.dead_cpes):
             return None
-        survivors = len(self.fault_plan.surviving_cpes(cfg.chip.n_cpes))
+        # Regenerating a checkpointed list repeats no spawn: the restored
+        # dead set already holds the interrupted run's last roll call.
+        if self._regenerating:
+            survivors = len(self.fault_plan.alive_cpes(cfg.chip.n_cpes))
+        else:
+            survivors = len(self.fault_plan.surviving_cpes(cfg.chip.n_cpes))
         report = plan_degradation(
             survivors, cfg.chip, cfg.resilience.min_cpes
         )

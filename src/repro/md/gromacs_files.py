@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.md.box import Box
-from repro.md.constants import SPC_HYDROGEN, SPC_OXYGEN
+from repro.md.constants import SPC, SPC_HYDROGEN, SPC_OXYGEN
 from repro.md.integrator import IntegratorConfig
 from repro.md.nonbonded import NonbondedParams
 from repro.md.system import ParticleSystem
 from repro.md.topology import Topology
-from repro.md.water import build_water_system
+from repro.md.water import _water_constraints, build_water_system
 
 _GRO_NAME = {0: "OW", 1: "HW"}  # type index -> atom name for water
 
@@ -110,28 +110,23 @@ def system_from_gro(data: GroData) -> ParticleSystem:
     Only SOL (3-site water) residues are supported — the paper's
     benchmark content.
     """
-    from repro.md.constants import SPC_Q_HYDROGEN, SPC_Q_OXYGEN, SPC_RHH, SPC_ROH
-    from repro.md.topology import Constraint
-
-    topo = Topology([SPC_OXYGEN, SPC_HYDROGEN])
     n = len(data.positions)
     if n % 3:
         raise ValueError("water .gro must have 3 atoms per molecule")
-    for m in range(n // 3):
-        base = 3 * m
-        expect = ("OW", "HW", "HW")
-        got = tuple(data.atom_names[base : base + 3])
-        if got != expect:
-            raise ValueError(f"molecule {m}: expected {expect}, got {got}")
-        ids = topo.add_particles(
-            ["OW", "HW", "HW"],
-            [SPC_Q_OXYGEN, SPC_Q_HYDROGEN, SPC_Q_HYDROGEN],
-            mol_id=m,
-        )
-        o, h1, h2 = (int(i) for i in ids)
-        topo.constraints.append(Constraint(o, h1, SPC_ROH))
-        topo.constraints.append(Constraint(o, h2, SPC_ROH))
-        topo.constraints.append(Constraint(h1, h2, SPC_RHH))
+    expect = ("OW", "HW", "HW")
+    names = np.asarray(data.atom_names, dtype=str).reshape(-1, 3)
+    bad = np.flatnonzero((names != expect).any(axis=1))
+    if len(bad):
+        m = int(bad[0])
+        got = tuple(data.atom_names[3 * m : 3 * m + 3])
+        raise ValueError(f"molecule {m}: expected {expect}, got {got}")
+    topo = Topology([SPC_OXYGEN, SPC_HYDROGEN])
+    topo.add_particles(
+        list(expect) * (n // 3),
+        np.tile([SPC.q_oxygen, SPC.q_hydrogen, SPC.q_hydrogen], n // 3),
+        mol_id=np.arange(n) // 3,
+    )
+    topo.constraints = _water_constraints(np.arange(0, n, 3), SPC)
     return ParticleSystem(
         data.positions, data.box, topo, velocities=data.velocities
     )

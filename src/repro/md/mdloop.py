@@ -33,6 +33,7 @@ from repro.md.reporter import EnergyFrame, EnergyReporter
 from repro.md.system import ParticleSystem
 from repro.resilience import (
     CheckpointError,
+    FaultPlan,
     MdCheckpoint,
     ResiliencePolicy,
     capture,
@@ -135,11 +136,16 @@ class MdDriver:
         #: reuse-off baseline.
         self.stepcache = StepCache()
         self.pairlist: ClusterPairList | None = None
+        #: Seeded fault oracle of a subclass that injects faults (None =
+        #: perfect hardware); checkpoints carry its place in the schedule.
+        self.fault_plan: FaultPlan | None = None
         self._start_step = 0
         self._next_step = 0
         self._pairlist_rebuild_step = 0
         self._pairlist_ref_positions: np.ndarray | None = None
         self._restart_ref_positions: np.ndarray | None = None
+        #: True while the list a checkpoint was taken under is rebuilt.
+        self._regenerating = False
         #: Accounting carried through restore() so a restarted run's
         #: result matches the uninterrupted one (None = fresh start).
         self._restored_history: dict | None = None
@@ -176,11 +182,13 @@ class MdDriver:
             )
         saved = self.system.positions
         self.system.positions = self._restart_ref_positions
+        self._regenerating = True
         try:
             self._rebuild_pairlist(timing, self._pairlist_rebuild_step)
         finally:
             self.system.positions = saved
             self._restart_ref_positions = None
+            self._regenerating = False
 
     def _record(self, step: int, potential: float) -> None:
         # Kinetic energy and temperature are only observable through
@@ -196,7 +204,7 @@ class MdDriver:
     def _history_dict(self) -> dict:
         """Accumulated accounting to stow in a checkpoint (v2)."""
         frames = self._reporter.frames if self._reporter is not None else []
-        return {
+        history = {
             "n_pairlist_rebuilds": int(self._rebuilds),
             "checkpoints_written": int(self._checkpoints_written),
             "reporter_frames": [
@@ -204,6 +212,9 @@ class MdDriver:
                 for f in frames
             ],
         }
+        if self.fault_plan is not None:
+            history["fault_plan"] = self.fault_plan.get_state()
+        return history
 
     def checkpoint(self, step: int | None = None) -> MdCheckpoint:
         """Snapshot the run (``step`` = next step to execute)."""
@@ -234,6 +245,10 @@ class MdDriver:
         self.stepcache.invalidate()
         if ckpt.history is not None:
             self._restored_history = dict(ckpt.history)
+            # Continue the fault schedule where the checkpoint left it.
+            fault_state = ckpt.history.get("fault_plan")
+            if self.fault_plan is not None and fault_state is not None:
+                self.fault_plan.set_state(fault_state)
         else:
             # Pre-v2 checkpoint: reconstruct the counters (reporter
             # history is unrecoverable and restarts empty).

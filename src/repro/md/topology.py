@@ -104,20 +104,29 @@ class Topology:
     def add_particles(
         self,
         type_names: list[str],
-        charges: list[float],
-        mol_id: int,
+        charges: list[float] | np.ndarray,
+        mol_id: int | np.ndarray,
     ) -> np.ndarray:
-        """Append one molecule's particles; returns their global indices."""
-        if len(type_names) != len(charges):
+        """Append a block of particles; returns their global indices.
+
+        ``mol_id`` is one molecule id for the whole block or one id per
+        particle.  Each call copies the arrays appended so far, so a
+        whole system goes in one call.
+        """
+        n = len(type_names)
+        if len(charges) != n:
             raise ValueError("type_names and charges must have equal length")
+        mol_ids = np.asarray(mol_id, dtype=np.int32)
+        if mol_ids.ndim == 0:
+            mol_ids = np.full(n, mol_ids)
+        elif mol_ids.shape != (n,):
+            raise ValueError(f"mol_id has shape {mol_ids.shape}; need one id or {n}")
         start = self.n_particles
-        ids = np.array([self.type_index(n) for n in type_names], dtype=np.int32)
+        ids = np.array([self.type_index(t) for t in type_names], dtype=np.int32)
         self.type_ids = np.concatenate([self.type_ids, ids])
         self.charges = np.concatenate([self.charges, np.asarray(charges, dtype=np.float64)])
-        self.mol_ids = np.concatenate(
-            [self.mol_ids, np.full(len(type_names), mol_id, dtype=np.int32)]
-        )
-        return np.arange(start, start + len(type_names))
+        self.mol_ids = np.concatenate([self.mol_ids, mol_ids])
+        return np.arange(start, start + n)
 
     @property
     def masses(self) -> np.ndarray:

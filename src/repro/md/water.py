@@ -9,6 +9,11 @@ to start a stable constrained simulation without an external equilibration
 tool).  The scenario builders compose the same lattice/rotation/topology
 machinery so the `repro.scenarios` registry can treat "add a workload"
 as data rather than new physics.
+
+Each system is built in whole-array passes: one block of rotation
+draws, one broadcast for the water positions and one topology append.
+The passes draw and compute exactly what a loop over the molecules
+would, so a seed builds the same system bit for bit.
 """
 
 from __future__ import annotations
@@ -35,23 +40,94 @@ from repro.md.system import ParticleSystem
 from repro.md.topology import Constraint, Topology
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrix (QR of a Gaussian matrix)."""
-    m = rng.normal(size=(3, 3))
-    q, r = np.linalg.qr(m)
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def _resolve_water_model(model: WaterModel | str) -> WaterModel:
+    if isinstance(model, str):
+        try:
+            return WATER_MODELS[model.lower()]
+        except KeyError:
+            raise ValueError(
+                f"unknown water model {model!r}; known: {sorted(WATER_MODELS)}"
+            ) from None
+    return model
+
+
+def _random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` uniform random rotation matrices (QR of Gaussian matrices).
+
+    One ``(n, 3, 3)`` draw fills in the order of ``n`` draws of
+    ``(3, 3)``, and LAPACK factors each matrix of a stack on its own, so
+    the stack equals ``n`` rotations drawn one at a time.
+    """
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 0] = -q[flip, :, 0]
     return q
 
 
-def _lattice_sites(n_sites: int, box_edge: float) -> np.ndarray:
-    """First ``n_sites`` points of a cubic lattice filling the box."""
+def _jittered_lattice(
+    n_sites: int, box_edge: float, jitter: float, rng: np.random.Generator
+) -> np.ndarray:
+    """First ``n_sites`` points of a cubic lattice filling the box, each
+    moved by up to ``jitter`` lattice spacings along every axis."""
     per_dim = int(np.ceil(n_sites ** (1.0 / 3.0)))
     spacing = box_edge / per_dim
     grid = (np.arange(per_dim) + 0.5) * spacing
     pts = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
-    return pts.reshape(-1, 3)[:n_sites]
+    sites = pts.reshape(-1, 3)[:n_sites]
+    return sites + rng.uniform(-jitter, jitter, size=sites.shape) * spacing
+
+
+def _water_constraints(oxygens: np.ndarray, model: WaterModel) -> list[Constraint]:
+    """The O-H1, O-H2 and H1-H2 constraints of each water, molecule by
+    molecule, for waters whose oxygen indices are ``oxygens`` (the two
+    hydrogens follow their oxygen)."""
+    i = (oxygens[:, None] + (0, 0, 1)).ravel().tolist()
+    j = (oxygens[:, None] + (1, 2, 2)).ravel().tolist()
+    return list(
+        map(Constraint, i, j, [model.r_oh, model.r_oh, model.r_hh] * len(oxygens))
+    )
+
+
+def _place_molecules(
+    topo: Topology,
+    sites: np.ndarray,
+    beads: np.ndarray,
+    bead_types: list[tuple[str, float]],
+    model: WaterModel,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Append one molecule per site to ``topo`` in site order; returns
+    the positions.
+
+    Site ``s`` holds a rigid ``model`` water when ``beads[s] < 0`` and
+    the one-atom ``bead_types[beads[s]]`` (name, charge) otherwise; its
+    molecule id is ``s``.  The waters' rotations are one block of draws
+    in site order, the stream a loop drawing one rotation per water
+    consumes.
+    """
+    water = beads < 0
+    size = np.where(water, 3, 1)
+    first = np.cumsum(size) - size
+    site = np.repeat(np.arange(len(sites)), size)
+    # Per atom: 0, 1, 2 = a water's O, H, H; 3 + k = bead type k.
+    kind = np.where(water[site], np.arange(len(site)) - first[site], 3 + beads[site])
+    names = np.array(["OW", "HW", "HW", *(name for name, _ in bead_types)])
+    charges = np.array(
+        [model.q_oxygen, model.q_hydrogen, model.q_hydrogen,
+         *(q for _, q in bead_types)]
+    )
+    topo.add_particles(names[kind].tolist(), charges[kind], mol_id=site)
+
+    oxygens = first[water]
+    offsets = WaterGeometry(r_oh=model.r_oh, angle_deg=model.angle_deg).site_offsets()
+    rots = _random_rotations(rng, len(oxygens))
+    positions = sites[site]
+    positions[oxygens[:, None] + np.arange(3)] = (
+        sites[water][:, None, :] + offsets @ rots.transpose(0, 2, 1)
+    )
+    topo.constraints.extend(_water_constraints(oxygens, model))
+    return positions
 
 
 def build_water_system(
@@ -69,13 +145,7 @@ def build_water_system(
     orientations; the box edge follows from the molecule count and
     ``density``.  Velocities are Maxwell-Boltzmann at ``temperature``.
     """
-    if isinstance(model, str):
-        try:
-            model = WATER_MODELS[model.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown water model {model!r}; known: {sorted(WATER_MODELS)}"
-            ) from None
+    model = _resolve_water_model(model)
     if n_particles < 3:
         raise ValueError(f"need at least one molecule (3 particles): {n_particles}")
     n_mol = max(1, n_particles // 3)
@@ -83,62 +153,12 @@ def build_water_system(
     rng = np.random.default_rng(seed)
 
     topo = Topology([model.oxygen_type(), model.hydrogen_type()])
-    geometry = WaterGeometry(r_oh=model.r_oh, angle_deg=model.angle_deg)
-    offsets = geometry.site_offsets()
-    sites = _lattice_sites(n_mol, edge)
-    spacing = edge / int(np.ceil(n_mol ** (1.0 / 3.0)))
-    sites = sites + rng.uniform(-jitter, jitter, size=sites.shape) * spacing
-
-    positions = np.empty((n_mol * 3, 3))
-    for m in range(n_mol):
-        rot = _random_rotation(rng)
-        ids = topo.add_particles(
-            ["OW", "HW", "HW"],
-            [model.q_oxygen, model.q_hydrogen, model.q_hydrogen],
-            mol_id=m,
-        )
-        positions[ids] = sites[m] + offsets @ rot.T
-        o, h1, h2 = (int(i) for i in ids)
-        topo.constraints.append(Constraint(o, h1, model.r_oh))
-        topo.constraints.append(Constraint(o, h2, model.r_oh))
-        topo.constraints.append(Constraint(h1, h2, model.r_hh))
+    sites = _jittered_lattice(n_mol, edge, jitter, rng)
+    positions = _place_molecules(topo, sites, np.full(n_mol, -1), [], model, rng)
 
     system = ParticleSystem(positions, Box.cubic(edge), topo)
     system.thermalize(temperature, rng)
     return system
-
-
-def _resolve_water_model(model: WaterModel | str) -> WaterModel:
-    if isinstance(model, str):
-        try:
-            return WATER_MODELS[model.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown water model {model!r}; known: {sorted(WATER_MODELS)}"
-            ) from None
-    return model
-
-
-def _add_water_molecule(
-    topo: Topology,
-    positions: np.ndarray,
-    site: np.ndarray,
-    rot: np.ndarray,
-    offsets: np.ndarray,
-    model: WaterModel,
-    mol_id: int,
-) -> None:
-    """Append one rigid 3-site water at ``site`` with orientation ``rot``."""
-    ids = topo.add_particles(
-        ["OW", "HW", "HW"],
-        [model.q_oxygen, model.q_hydrogen, model.q_hydrogen],
-        mol_id=mol_id,
-    )
-    positions[ids] = site + offsets @ rot.T
-    o, h1, h2 = (int(i) for i in ids)
-    topo.constraints.append(Constraint(o, h1, model.r_oh))
-    topo.constraints.append(Constraint(o, h2, model.r_oh))
-    topo.constraints.append(Constraint(h1, h2, model.r_hh))
 
 
 def build_ionic_solution(
@@ -180,31 +200,17 @@ def build_ionic_solution(
     topo = Topology(
         [model.oxygen_type(), model.hydrogen_type(), NA_ION, CL_ION]
     )
-    geometry = WaterGeometry(r_oh=model.r_oh, angle_deg=model.angle_deg)
-    offsets = geometry.site_offsets()
-    sites = _lattice_sites(n_sites, edge)
-    spacing = edge / int(np.ceil(n_sites ** (1.0 / 3.0)))
-    sites = sites + rng.uniform(-jitter, jitter, size=sites.shape) * spacing
+    sites = _jittered_lattice(n_sites, edge, jitter, rng)
 
     # Deterministic, seeded ion placement: which lattice sites hold ions.
     ion_sites = rng.choice(n_sites, size=2 * n_pairs, replace=False)
-    na_sites = set(int(s) for s in ion_sites[:n_pairs])
-    cl_sites = set(int(s) for s in ion_sites[n_pairs:])
-
-    n_atoms = 3 * (n_sites - 2 * n_pairs) + 2 * n_pairs
-    positions = np.empty((n_atoms, 3))
-    for s in range(n_sites):
-        if s in na_sites:
-            ids = topo.add_particles(["NA"], [ION_CHARGE_NA], mol_id=s)
-            positions[ids] = sites[s]
-        elif s in cl_sites:
-            ids = topo.add_particles(["CL"], [ION_CHARGE_CL], mol_id=s)
-            positions[ids] = sites[s]
-        else:
-            rot = _random_rotation(rng)
-            _add_water_molecule(
-                topo, positions, sites[s], rot, offsets, model, mol_id=s
-            )
+    beads = np.full(n_sites, -1)
+    beads[ion_sites[:n_pairs]] = 0
+    beads[ion_sites[n_pairs:]] = 1
+    positions = _place_molecules(
+        topo, sites, beads,
+        [("NA", ION_CHARGE_NA), ("CL", ION_CHARGE_CL)], model, rng,
+    )
 
     system = ParticleSystem(positions, Box.cubic(edge), topo)
     system.thermalize(temperature, rng)
@@ -237,11 +243,7 @@ def build_embedded_solute(
     rng = np.random.default_rng(seed)
 
     topo = Topology([model.oxygen_type(), model.hydrogen_type(), SOLUTE_LJ])
-    geometry = WaterGeometry(r_oh=model.r_oh, angle_deg=model.angle_deg)
-    offsets = geometry.site_offsets()
-    sites = _lattice_sites(n_sites, edge)
-    spacing = edge / int(np.ceil(n_sites ** (1.0 / 3.0)))
-    sites = sites + rng.uniform(-jitter, jitter, size=sites.shape) * spacing
+    sites = _jittered_lattice(n_sites, edge, jitter, rng)
 
     # Carve out lattice sites the solute would overlap (minimum-image).
     center = np.full(3, edge / 2.0)
@@ -254,15 +256,13 @@ def build_embedded_solute(
             f"solute exclusion leaves {len(keep)} waters; raise n_particles"
         )
 
-    n_atoms = 1 + 3 * len(keep)
-    positions = np.empty((n_atoms, 3))
-    ids = topo.add_particles(["SOL"], [0.0], mol_id=0)
-    positions[ids] = center
-    for m, s in enumerate(keep, start=1):
-        rot = _random_rotation(rng)
-        _add_water_molecule(
-            topo, positions, sites[s], rot, offsets, model, mol_id=m
-        )
+    # The solute is molecule 0; the kept waters follow as 1, 2, ...
+    beads = np.full(1 + len(keep), -1)
+    beads[0] = 0
+    positions = _place_molecules(
+        topo, np.vstack([center, sites[keep]]), beads,
+        [("SOL", 0.0)], model, rng,
+    )
 
     system = ParticleSystem(positions, Box.cubic(edge), topo)
     system.thermalize(temperature, rng)
@@ -292,13 +292,11 @@ def build_lj_mixture(
     rng = np.random.default_rng(seed)
 
     topo = Topology([LJ_FLUID, LJ_FLUID_B])
-    positions = _lattice_sites(n_particles, edge)
-    spacing = edge / int(np.ceil(n_particles ** (1.0 / 3.0)))
-    positions = positions + rng.uniform(-jitter, jitter, size=positions.shape) * spacing
+    positions = _jittered_lattice(n_particles, edge, jitter, rng)
     stride = max(2, int(round(1.0 / fraction_b)))
-    for p in range(n_particles):
-        name = "KR" if p % stride == stride - 1 else "AR"
-        topo.add_particles([name], [0.0], mol_id=p)
+    index = np.arange(n_particles)
+    names = np.where(index % stride == stride - 1, "KR", "AR")
+    topo.add_particles(names.tolist(), np.zeros(n_particles), mol_id=index)
 
     system = ParticleSystem(positions, Box.cubic(edge), topo)
     system.thermalize(temperature, rng)
@@ -319,11 +317,11 @@ def build_lj_fluid(
     rng = np.random.default_rng(seed)
 
     topo = Topology([LJ_FLUID])
-    positions = _lattice_sites(n_particles, edge)
-    spacing = edge / int(np.ceil(n_particles ** (1.0 / 3.0)))
-    positions = positions + rng.uniform(-jitter, jitter, size=positions.shape) * spacing
-    for p in range(n_particles):
-        topo.add_particles(["AR"], [0.0], mol_id=p)
+    positions = _jittered_lattice(n_particles, edge, jitter, rng)
+    topo.add_particles(
+        ["AR"] * n_particles, np.zeros(n_particles),
+        mol_id=np.arange(n_particles),
+    )
 
     system = ParticleSystem(positions, Box.cubic(edge), topo)
     system.thermalize(temperature, rng)

@@ -29,7 +29,7 @@ and trace change.  That invariant is what the resilience tests pin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,11 +176,31 @@ class FaultPlan:
                 if cpe not in self._dead and draws[cpe] < rate:
                     self._dead.add(cpe)
                     self.counts.cpe_losses += 1
-        return [cpe for cpe in range(n_cpes) if cpe not in self._dead]
+        return self.alive_cpes(n_cpes)
 
     @property
     def dead_cpes(self) -> frozenset[int]:
         return frozenset(self._dead)
+
+    def alive_cpes(self, n_cpes: int) -> list[int]:
+        """CPE ids alive now, without a new roll call."""
+        return [cpe for cpe in range(n_cpes) if cpe not in self._dead]
+
+    # --- checkpointing ----------------------------------------------------
+    def get_state(self) -> dict:
+        """JSON-serialisable position in the schedule: the generator
+        state, the dead CPEs and the counts so far."""
+        return {
+            "rng": self._rng.bit_generator.state,
+            "dead": sorted(self._dead),
+            "counts": asdict(self.counts),
+        }
+
+    def set_state(self, state: dict) -> None:
+        """Resume the schedule captured by :meth:`get_state`."""
+        self._rng.bit_generator.state = state["rng"]
+        self._dead = set(state["dead"])
+        self.counts = FaultCounts(**state["counts"])
 
 
 #: Shared "no faults ever" plan: the default for every hook.

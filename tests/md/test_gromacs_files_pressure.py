@@ -45,9 +45,11 @@ class TestGroRoundTrip:
         buf.seek(0)
         rebuilt = system_from_gro(read_gro(buf))
         assert rebuilt.n_particles == water_small.n_particles
-        assert len(rebuilt.topology.constraints) == len(
-            water_small.topology.constraints
-        )
+        for name in ("type_ids", "charges", "mol_ids"):
+            got = getattr(rebuilt.topology, name)
+            want = getattr(water_small.topology, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rebuilt.topology.constraints == water_small.topology.constraints
         # Physics of the rebuilt system matches to file precision.
         nb = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
         e_orig = brute_force_short_range(water_small, nb).energy
@@ -71,6 +73,19 @@ class TestGroRoundTrip:
         buf.seek(0)
         with pytest.raises(ValueError):
             system_from_gro(read_gro(buf))
+
+    def test_non_water_residue_named(self, water_small):
+        buf = io.StringIO()
+        write_gro(water_small, buf)
+        buf.seek(0)
+        data = read_gro(buf)
+        data.atom_names[3 * 5 + 1] = "NA"
+        with pytest.raises(
+            ValueError,
+            match=r"molecule 5: expected \('OW', 'HW', 'HW'\), "
+            r"got \('OW', 'NA', 'HW'\)",
+        ):
+            system_from_gro(data)
 
 
 class TestMdp:

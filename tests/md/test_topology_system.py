@@ -56,6 +56,27 @@ class TestTopology:
             topo.masses, [SPC_OXYGEN.mass, SPC_HYDROGEN.mass, SPC_HYDROGEN.mass]
         )
 
+    def test_block_append_equals_per_molecule(self):
+        names, charges = ["OW", "HW", "HW"], [-0.82, 0.41, 0.41]
+        one_by_one = Topology([SPC_OXYGEN, SPC_HYDROGEN])
+        for m in range(4):
+            one_by_one.add_particles(names, charges, mol_id=m)
+        block = Topology([SPC_OXYGEN, SPC_HYDROGEN])
+        ids = block.add_particles(
+            names * 4, np.tile(charges, 4), mol_id=np.repeat(np.arange(4), 3)
+        )
+        np.testing.assert_array_equal(ids, np.arange(12))
+        for name in ("type_ids", "charges", "mol_ids"):
+            got, want = getattr(block, name), getattr(one_by_one, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_block_mol_id_length_mismatch(self):
+        topo = Topology([LJ_FLUID])
+        with pytest.raises(ValueError, match="mol_id"):
+            topo.add_particles(["AR"] * 3, [0.0] * 3, mol_id=np.arange(2))
+        assert topo.n_particles == 0
+
     def test_unknown_type(self):
         topo = Topology([LJ_FLUID])
         with pytest.raises(KeyError, match="unknown atom type"):

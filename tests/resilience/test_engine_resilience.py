@@ -312,3 +312,48 @@ class TestRestartInvariantAccounting:
             for f in baseline.reporter.frames
         ]
         assert result.checkpoints_written == baseline.checkpoints_written
+
+
+class TestFaultScheduleRestart:
+    """A restarted faulted run continues the fault schedule: the plan's
+    generator state, dead CPEs and counts ride in the checkpoint."""
+
+    @pytest.mark.parametrize(
+        "faults, every",
+        [
+            pytest.param("seed=7,dma=1e-3", 4, id="dma-mid-interval"),
+            pytest.param("seed=11,dma=1e-3,cpe=0.02,dead=5", 4,
+                         id="cpe-mid-interval"),
+            pytest.param("seed=11,dma=1e-3,cpe=0.02,dead=5", 5,
+                         id="cpe-rebuild-boundary"),
+        ],
+    )
+    def test_restart_ends_with_the_uninterrupted_schedule(
+        self, tmp_path, water_small, nb_water_small, faults, every
+    ):
+        path = str(tmp_path / "faults.ckpt")
+
+        def engine(**policy):
+            return SWGromacsEngine(
+                water_small.copy(),
+                EngineConfig(
+                    nonbonded=nb_water_small,
+                    resilience=ResiliencePolicy(faults=faults, **policy),
+                ),
+            )
+
+        whole = engine()
+        baseline = whole.run(16)
+        engine(checkpoint_every=every, checkpoint_path=path).run(12)
+        ckpt = load_checkpoint(path)
+        assert ckpt.step == 12 // every * every
+        resumed = engine()
+        resumed.restore(ckpt)
+        result = resumed.run(16)
+
+        assert result.fault_counts == baseline.fault_counts
+        assert resumed.fault_plan.get_state() == whole.fault_plan.get_state()
+        assert result.degradation == baseline.degradation
+        assert np.array_equal(
+            result.system.positions, baseline.system.positions
+        )
