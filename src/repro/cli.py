@@ -365,12 +365,6 @@ def _add_resident_args(parser) -> None:
         help="warm systems kept per worker process, LRU beyond this "
         "(default: 4)",
     )
-    parser.add_argument(
-        "--arena-bytes", type=int, default=1 << 20, metavar="BYTES",
-        help="shared-memory output arena per worker lane; force blocks "
-        "that fit travel zero-copy, larger ones fall back to pickled "
-        "results (default: 1 MiB)",
-    )
 
 
 def _add_durable_args(parser) -> None:
@@ -408,7 +402,6 @@ def _serve_config(args):
         journal_fsync=args.journal_fsync,
         resident=not args.no_resident,
         resident_capacity=args.resident_capacity,
-        arena_bytes=args.arena_bytes,
     )
 
 

@@ -298,10 +298,11 @@ def build_pair_list(
     block, so their keep masks equal those of the ``(..., 3)`` form bit
     for bit.
 
-    ``backend`` (an `ExecutionBackend` or None for in-process) fans the
-    exact-filter chunks across worker processes above ``chunk``
-    candidates (`_exact_cluster_filter`); chunk results concatenate in
-    order, so the built list is bit-identical regardless of backend.
+    ``backend`` (an `ExecutionBackend` or None for in-process) splits
+    the exact filter across its worker processes above
+    `EXACT_FILTER_FANOUT` candidates (`_exact_cluster_filter`); chunk
+    results concatenate in order, so the built list is bit-identical
+    regardless of backend.
     """
     box = system.box
     box.check_cutoff(rlist)
@@ -385,26 +386,33 @@ def _exact_filter_job(task: _ExactFilterTask) -> np.ndarray:
     return keep
 
 
+#: Candidate count above which a parallel backend splits the exact
+#: filter over its workers (below it, shipping the positions costs more
+#: than the split saves).
+EXACT_FILTER_FANOUT = 262144
+
+
 def _exact_cluster_filter(
     sorted_pos: np.ndarray,
     box: Box,
     ci: np.ndarray,
     cj: np.ndarray,
     rlist: float,
-    chunk: int = 262144,
     backend=None,
 ) -> np.ndarray:
     """True where some 4x4 particle distance of the cluster pair < rlist.
 
     One blocked job (`_exact_filter_job`) over every candidate; with a
-    parallel ``backend`` and more than ``chunk`` candidates, chunks of
-    ``chunk`` run the same job on worker processes (ordered
-    concatenation — bit-identical output, as the keep mask is
-    elementwise per pair).
+    parallel ``backend`` and more than `EXACT_FILTER_FANOUT` candidates,
+    the candidates split into one contiguous, near-equal chunk per
+    worker, each running the same job (ordered concatenation —
+    bit-identical output, as the keep mask is elementwise per pair).
     """
     box_arr = box.array
-    if getattr(backend, "parallel", False) and len(ci) > chunk:
-        bounds = range(0, len(ci), chunk)
+    m = len(ci)
+    if getattr(backend, "parallel", False) and m > EXACT_FILTER_FANOUT:
+        n = backend.n_workers
+        bounds = [m * k // n for k in range(n + 1)]
         with shared_inputs(backend, positions=sorted_pos) as shared:
             masks = backend.map(
                 _exact_filter_job,
@@ -412,11 +420,11 @@ def _exact_cluster_filter(
                     _ExactFilterTask(
                         positions=shared["positions"],
                         box=box_arr,
-                        ci=ci[lo : lo + chunk],
-                        cj=cj[lo : lo + chunk],
+                        ci=ci[lo:hi],
+                        cj=cj[lo:hi],
                         rlist=rlist,
                     )
-                    for lo in bounds
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
                 ],
             )
         return np.concatenate(masks)

@@ -9,15 +9,15 @@ for the reproduction (DESIGN.md §9).
 Two interchangeable backends behind one tiny interface:
 
 * :class:`SerialBackend` — in-process, zero dependencies, the default.
-  ``map`` is a plain ordered loop, ``share`` hands arrays through
-  untouched.
+  ``map`` is a plain ordered loop.
 * :class:`PoolBackend` — a ``concurrent.futures.ProcessPoolExecutor``
   over ``n_workers`` real processes.  Large read-only numpy arrays
   (positions, charges, LJ tables) travel once through POSIX shared
-  memory (:class:`SharedArray`); per-task payloads (pair-list slices,
-  partition bounds) are pickled per task.
+  memory (:func:`shared_inputs`, :class:`SharedArray`); per-task
+  payloads (pair-list slices, partition bounds) and results are
+  pickled per task.
 
-Three IPC refinements ride on the pool backend (DESIGN.md §14):
+Two IPC refinements ride on the pool backend (DESIGN.md §14):
 
 * :meth:`PoolBackend.map_batched` coalesces many small tasks into one
   pickled submission per worker, cutting per-task executor and pickle
@@ -27,11 +27,7 @@ Three IPC refinements ride on the pool backend (DESIGN.md §14):
   single-process executor), which is what lets worker-resident state
   (`repro.serve.residency`) actually get hit: the serving layer hashes a
   system key to a lane and always lands work for that system on the
-  process that already holds it;
-* :class:`ArenaHandle` — preallocated per-lane shared-memory *output*
-  arenas: a worker writes large result blocks (force arrays) in place
-  and returns a tiny :class:`ArenaRef` descriptor instead of pickling
-  the payload back.
+  process that already holds it.
 
 Determinism contract (test-enforced in ``tests/parallel/test_pool.py``):
 ``map``/``map_batched`` return results in task-submission order on both
@@ -47,21 +43,22 @@ discarded and lazily respawned (its resident state dies with it).
 
 Every shared-memory segment created by this process is tracked in a
 registry and unlinked by an ``atexit`` audit, so a ``WorkerCrashError``
-that aborts a caller mid-``map`` (or an arena orphaned by a crashed
-service) cannot strand segments in ``/dev/shm`` past process exit.
+that aborts a caller mid-``map`` cannot strand segments in ``/dev/shm``
+past process exit.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import sys
 import threading
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import get_context, shared_memory
+from multiprocessing import get_context, resource_tracker, shared_memory
 
 import numpy as np
 
@@ -100,9 +97,8 @@ _ATTACHED: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 
 #: Names of segments *created* (owned) by this process and not yet
 #: unlinked.  The atexit audit below unlinks whatever is left, so a
-#: caller aborted mid-``map`` by a WorkerCrashError — or an arena whose
-#: owner never reached its cleanup path — cannot strand ``/dev/shm``
-#: segments past process exit.
+#: caller aborted mid-``map`` by a WorkerCrashError cannot strand
+#: ``/dev/shm`` segments past process exit.
 _CREATED: set[str] = set()
 _AUDIT_REGISTERED = False
 
@@ -126,19 +122,25 @@ def audit_shared_segments() -> int:
     return leaked
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Detach a segment from the resource tracker (attach-side only).
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment without registering it with the resource
+    tracker.
 
-    Only the creating process owns unlink; without this, every worker
-    attach registers the segment again and the tracker warns about (or
-    double-frees) it at worker exit.
+    Only the creating process owns unlink.  A pool worker forked after
+    the creator's tracker started shares that tracker, so a worker-side
+    register/unregister pair would drop the creator's registration and
+    make its later ``unlink`` print a tracker ``KeyError`` traceback.
+    Before Python 3.13 ``SharedMemory`` always registers, so the attach
+    suppresses it; attaches run in single-threaded pool workers.
     """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,7 @@ class SharedArray:
     def array(self) -> np.ndarray:
         entry = _ATTACHED.get(self.name)
         if entry is None:
-            shm = shared_memory.SharedMemory(name=self.name)
-            _untrack(shm)
+            shm = _attach(self.name)
             view = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=shm.buf)
             _ATTACHED[self.name] = (shm, view)
             entry = _ATTACHED[self.name]
@@ -189,16 +190,6 @@ class SharedArray:
         out = out.view()
         out.setflags(write=False)
         return out
-
-    def writable_array(self) -> np.ndarray:
-        """A *writable* view of the segment (arena use only).
-
-        Regular task inputs stay read-only through :meth:`array`; output
-        arenas are the one sanctioned writer-side use, and their access
-        is serialised by the owning backend's per-lane lock.
-        """
-        self.array()  # ensure attached
-        return _ATTACHED[self.name][1].view()
 
     def unlink(self) -> None:
         """Free the segment (creator only; views in live workers survive
@@ -220,102 +211,6 @@ class SharedArray:
 
 
 # ---------------------------------------------------------------------------
-# Output arenas (zero-copy result blocks)
-# ---------------------------------------------------------------------------
-
-#: Offsets inside an arena are aligned to cache-line granularity.
-ARENA_ALIGN = 64
-
-
-@dataclass(frozen=True)
-class ArenaRef:
-    """Tiny picklable descriptor of one array written into an arena."""
-
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-    @property
-    def nbytes(self) -> int:
-        n = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-        return n * np.dtype(self.dtype).itemsize
-
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset,
-            "shape": list(self.shape),
-            "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArenaRef":
-        return cls(
-            offset=int(data["offset"]),
-            shape=tuple(int(s) for s in data["shape"]),
-            dtype=str(data["dtype"]),
-        )
-
-
-@dataclass(frozen=True)
-class ArenaHandle:
-    """Preallocated shared-memory block for worker *outputs*.
-
-    The parent allocates one arena per affinity lane; the lane's worker
-    :meth:`pack`\\ s large result arrays (force blocks) into it and ships
-    only :class:`ArenaRef` descriptors back — the parent then
-    :meth:`read`\\ s the data in place instead of unpickling a copy.
-
-    Concurrency contract: an arena is valid until the *next* task runs
-    on its lane, so the owner must consume (or copy) refs while holding
-    the lane's :meth:`PoolBackend.lane_lock` around the dispatch that
-    produced them.  ``pack`` returns ``None`` when the blocks do not fit
-    (the caller falls back to pickled results — a capacity miss degrades
-    to the old path, never to corruption).
-    """
-
-    data: SharedArray
-
-    @classmethod
-    def allocate(cls, nbytes: int) -> "ArenaHandle":
-        if nbytes < 1:
-            raise ValueError(f"arena capacity must be >= 1 byte: {nbytes}")
-        return cls(
-            data=SharedArray.create(np.zeros(int(nbytes), dtype=np.uint8))
-        )
-
-    @property
-    def capacity(self) -> int:
-        return int(self.data.shape[0])
-
-    def pack(self, arrays) -> list[ArenaRef] | None:
-        buf = self.data.writable_array()
-        offset = 0
-        refs: list[ArenaRef] = []
-        for arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            offset = -(-offset // ARENA_ALIGN) * ARENA_ALIGN
-            end = offset + arr.nbytes
-            if end > self.capacity:
-                return None
-            buf[offset:end] = arr.view(np.uint8).reshape(-1)
-            refs.append(
-                ArenaRef(offset=offset, shape=tuple(arr.shape),
-                         dtype=arr.dtype.str)
-            )
-            offset = end
-        return refs
-
-    def read(self, ref: ArenaRef) -> np.ndarray:
-        """Read-only in-place view of one packed block (valid only under
-        the producing lane's lock — copy to retain past it)."""
-        flat = self.data.array()[ref.offset : ref.offset + ref.nbytes]
-        return flat.view(np.dtype(ref.dtype)).reshape(ref.shape)
-
-    def unlink(self) -> None:
-        self.data.unlink()
-
-
-# ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
 
@@ -325,9 +220,6 @@ class SerialBackend:
 
     name = "serial"
     n_workers = 1
-
-    def __init__(self) -> None:
-        self._lane_lock = threading.Lock()
 
     @property
     def parallel(self) -> bool:
@@ -349,13 +241,6 @@ class SerialBackend:
         if lane != 0:
             raise ValueError(f"serial backend has one lane, got {lane}")
         return fn(item)
-
-    def lane_lock(self, lane: int) -> threading.Lock:
-        return self._lane_lock
-
-    def share(self, arr: np.ndarray) -> np.ndarray:
-        """Serial tasks read the array directly; no copy, no segment."""
-        return np.asarray(arr)
 
     def close(self) -> None:
         pass
@@ -394,8 +279,7 @@ class PoolBackend:
 
     The executor is created lazily on the first :meth:`map`, so merely
     configuring ``backend="pool"`` costs nothing until parallel work
-    exists.  Shared segments created through :meth:`share` are tracked
-    and freed on :meth:`close` (or context-manager exit).
+    exists.
     """
 
     name = "pool"
@@ -405,11 +289,12 @@ class PoolBackend:
             raise ValueError(f"n_workers must be >= 1: {n_workers}")
         self.n_workers = n_workers or max(host_cpu_count(), 2)
         self._executor: ProcessPoolExecutor | None = None
-        self._shared: list[SharedArray] = []
         #: Affinity lanes: dedicated single-process executors, created
-        #: lazily per lane id (see run_on).
+        #: lazily per lane id (see run_on).  Service threads reach
+        #: run_on concurrently, so lane creation and removal hold
+        #: ``_lanes_lock``.
         self._lanes: dict[int, ProcessPoolExecutor] = {}
-        self._lane_locks: dict[int, threading.Lock] = {}
+        self._lanes_lock = threading.Lock()
 
     @property
     def parallel(self) -> bool:
@@ -491,20 +376,16 @@ class PoolBackend:
             raise ValueError(
                 f"lane must be in 0..{self.n_workers - 1}: {lane}"
             )
-        executor = self._lanes.get(lane)
-        if executor is None:
-            executor = ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=self._mp_context(),
-                initializer=_worker_init,
-            )
-            self._lanes[lane] = executor
+        with self._lanes_lock:
+            executor = self._lanes.get(lane)
+            if executor is None:
+                executor = ProcessPoolExecutor(
+                    max_workers=1,
+                    mp_context=self._mp_context(),
+                    initializer=_worker_init,
+                )
+                self._lanes[lane] = executor
         return executor
-
-    def lane_lock(self, lane: int) -> threading.Lock:
-        """Per-lane mutex: hold it around a :meth:`run_on` whose result
-        references that lane's arena (see :class:`ArenaHandle`)."""
-        return self._lane_locks.setdefault(lane, threading.Lock())
 
     def run_on(self, lane: int, fn, item):
         """Run one task on a *specific* long-lived worker process.
@@ -512,15 +393,20 @@ class PoolBackend:
         The lane's process persists across calls, so module-global state
         built by earlier tasks (resident simulations, warmed caches) is
         visible to later ones — the whole point of affinity dispatch.
-        A crashed lane raises :class:`WorkerCrashError` and is discarded;
-        the next ``run_on`` respawns it fresh (resident state is gone,
-        which callers observe as a cold rebuild, never a wrong answer).
+        A lane is one process, so its tasks run one at a time; callers
+        on several threads need no lock of their own.  A crashed lane
+        raises :class:`WorkerCrashError` and is discarded; the next
+        ``run_on`` respawns it fresh (resident state is gone, which
+        callers observe as a cold rebuild, never a wrong answer).
         """
         executor = self._ensure_lane(lane)
         try:
             return executor.submit(fn, item).result()
         except BrokenProcessPool as exc:
-            self._lanes.pop(lane, None)
+            with self._lanes_lock:
+                # Another thread may already have replaced the lane.
+                if self._lanes.get(lane) is executor:
+                    del self._lanes[lane]
             executor.shutdown(wait=True, cancel_futures=True)
             raise WorkerCrashError(
                 f"affinity lane {lane} of the {self.name} backend died "
@@ -528,26 +414,15 @@ class PoolBackend:
                 "has been discarded and will respawn (cold) on next use"
             ) from exc
 
-    def share(self, arr: np.ndarray) -> SharedArray:
-        """Publish a read-only array to workers via shared memory."""
-        handle = SharedArray.create(arr)
-        self._shared.append(handle)
-        return handle
-
-    def release_shared(self) -> None:
-        """Free all segments created by :meth:`share` (between phases)."""
-        for handle in self._shared:
-            handle.unlink()
-        self._shared.clear()
-
     def close(self) -> None:
-        self.release_shared()
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-        for executor in self._lanes.values():
+        with self._lanes_lock:
+            lanes = list(self._lanes.values())
+            self._lanes.clear()
+        for executor in lanes:
             executor.shutdown(wait=True, cancel_futures=True)
-        self._lanes.clear()
 
     def __enter__(self) -> "PoolBackend":
         return self
@@ -565,10 +440,33 @@ ExecutionBackend = SerialBackend | PoolBackend
 
 def as_input(shared) -> np.ndarray:
     """Resolve a task input that may be a :class:`SharedArray` handle or a
-    plain array (what :meth:`SerialBackend.share` returns)."""
+    plain array (what :func:`shared_inputs` yields under a serial
+    backend)."""
     if isinstance(shared, SharedArray):
         return shared.array()
     return np.asarray(shared)
+
+
+def _backend_choice(
+    backend: str | None, workers: int | None
+) -> tuple[str, int | None]:
+    """``(name, workers)`` from explicit values, then the environment."""
+    name = (backend or os.environ.get(BACKEND_ENV) or "serial").lower()
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if env is not None:
+            workers = int(env)
+    return name, workers
+
+
+def _make_backend(name: str, workers: int | None) -> ExecutionBackend:
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
+        )
+    if name == "serial":
+        return SerialBackend()
+    return PoolBackend(n_workers=workers)
 
 
 def resolve_backend(
@@ -585,29 +483,11 @@ def resolve_backend(
     """
     if isinstance(backend, (SerialBackend, PoolBackend)):
         return backend
-    name = backend or os.environ.get(BACKEND_ENV) or "serial"
-    name = name.lower()
-    if name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKEND_NAMES}"
-        )
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is not None:
-            workers = int(env)
-    if name == "serial":
-        return SerialBackend()
-    return PoolBackend(n_workers=workers)
+    return _make_backend(*_backend_choice(backend, workers))
 
 
 #: Process-wide backend cache keyed by (name, workers) — see shared_backend().
 _SHARED_BACKENDS: dict[tuple[str, int | None], ExecutionBackend] = {}
-
-
-def _close_shared_backends() -> None:
-    for be in _SHARED_BACKENDS.values():
-        be.close()
-    _SHARED_BACKENDS.clear()
 
 
 def close_shared_backend() -> None:
@@ -616,17 +496,21 @@ def close_shared_backend() -> None:
     ``shared_backend()`` instances are normally reaped at interpreter
     exit via ``atexit`` — fine for one-shot CLI runs, but a long-lived
     process (the ``repro serve`` service, a notebook, a test harness)
-    that is done with parallel work should release the worker pool and
-    its shared-memory segments *now*, not at exit.  The service calls
-    this from graceful drain.
+    that is done with parallel work should release the worker pool
+    *now*, not at exit.  The service calls this from graceful drain.
 
     Safe at any time: components still holding a closed ``PoolBackend``
     reference lazily respawn its executor on the next ``map``, and the
     next ``shared_backend()`` call simply builds a fresh instance.
-    Idempotent; the ``atexit`` hook remains as the backstop and becomes
-    a no-op once the registry is empty.
+    Idempotent, so the ``atexit`` backstop is a no-op once the registry
+    is empty.
     """
-    _close_shared_backends()
+    for be in _SHARED_BACKENDS.values():
+        be.close()
+    _SHARED_BACKENDS.clear()
+
+
+atexit.register(close_shared_backend)
 
 
 def shared_backend(
@@ -646,16 +530,9 @@ def shared_backend(
     """
     if isinstance(backend, (SerialBackend, PoolBackend)):
         return backend
-    name = (backend or os.environ.get(BACKEND_ENV) or "serial").lower()
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is not None:
-            workers = int(env)
-    key = (name, workers)
+    key = _backend_choice(backend, workers)
     if key not in _SHARED_BACKENDS:
-        if not _SHARED_BACKENDS:
-            atexit.register(_close_shared_backends)
-        _SHARED_BACKENDS[key] = resolve_backend(name, workers)
+        _SHARED_BACKENDS[key] = _make_backend(*key)
     return _SHARED_BACKENDS[key]
 
 

@@ -36,7 +36,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from repro.core.stepcache import StepCache, position_fingerprint
-from repro.parallel.pool import ArenaHandle
 
 #: Request kinds.
 KIND_KERNEL = "kernel"
@@ -349,24 +348,18 @@ def _kernel_payload(result, forces: np.ndarray) -> dict:
 
 
 def json_safe_payload(payload: dict | None) -> dict | None:
-    """Payload with array/handle values reduced to JSON types.
+    """Payload with array values reduced to JSON types.
 
     In-process consumers see force blocks as ndarrays (zero extra
     copies); the wire (`JobResult.to_dict`) and the durable result store
-    serialise to JSON, where arrays become nested lists and any
-    unresolved arena descriptor becomes its dict form.
+    serialise to JSON, where arrays become nested lists.
     """
     if payload is None:
         return None
-    out: dict = {}
-    for key, val in payload.items():
-        if isinstance(val, np.ndarray):
-            out[key] = val.tolist()
-        elif hasattr(val, "to_dict"):
-            out[key] = val.to_dict()
-        else:
-            out[key] = val
-    return out
+    return {
+        key: val.tolist() if isinstance(val, np.ndarray) else val
+        for key, val in payload.items()
+    }
 
 
 def execute_kernel_request(
@@ -479,7 +472,6 @@ def execute_batch(
     requests: tuple[JobRequest, ...],
     progress_paths: dict[str, str] | None = None,
     entry_for=build_entry,
-    arena: ArenaHandle | None = None,
 ) -> BatchOutcome:
     """Execute a batch of *distinct* requests on one worker.
 
@@ -501,10 +493,8 @@ def execute_batch(
 
     ``progress_paths`` (fingerprint → file path) threads per-unit
     progress files into MD executions for the ``progress`` wire op.
-    With ``arena``, requested force blocks are packed into the
-    shared-memory arena and payloads carry small ``forces_ref``
-    descriptors instead of arrays (overflow falls back to in-payload
-    arrays — slower, never wrong).
+    A requested force block rides in its payload as an ndarray, pickled
+    back with the rest of the outcome when a pool worker ran the batch.
     """
     from repro.core.kernels import ALL_SPECS, run_kernel
 
@@ -521,7 +511,6 @@ def execute_batch(
                 req, progress=_progress_writer(req, progress_paths)
             )
 
-    force_blocks: list[tuple[int, np.ndarray]] = []
     for indices in groups.values():
         entry = entry_for(requests[indices[0]])
         sr_evals0 = entry.cache.stats.sr_evals
@@ -537,33 +526,12 @@ def execute_batch(
             )
             payloads[idx] = _kernel_payload(result, result.forces)
             if req.return_forces:
-                force_blocks.append((idx, result.forces))
+                payloads[idx]["forces"] = np.ascontiguousarray(result.forces)
         entry.cache.release_panels()
         cache_stats["sr_evals"] += entry.cache.stats.sr_evals - sr_evals0
         cache_stats["sr_hits"] += entry.cache.stats.sr_hits - sr_hits0
 
-    _attach_forces(payloads, force_blocks, arena)
     return BatchOutcome(payloads=list(payloads), cache_stats=cache_stats)
-
-
-def _attach_forces(
-    payloads: list,
-    force_blocks: list[tuple[int, np.ndarray]],
-    arena: ArenaHandle | None,
-) -> None:
-    """Attach requested force arrays: arena refs when they fit, inline
-    ndarrays otherwise (the caller JSON-sanitises at wire boundaries)."""
-    if not force_blocks:
-        return
-    refs = None
-    if arena is not None:
-        refs = arena.pack([forces for _, forces in force_blocks])
-    if refs is not None:
-        for (idx, _), ref in zip(force_blocks, refs):
-            payloads[idx]["forces_ref"] = ref
-    else:
-        for idx, forces in force_blocks:
-            payloads[idx]["forces"] = np.ascontiguousarray(forces)
 
 
 def _progress_writer(request: JobRequest, progress_paths: dict | None):

@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.stepcache import position_fingerprint
-from repro.parallel.pool import ArenaHandle
 from repro.serve.jobs import (
     KIND_KERNEL,
     BatchOutcome,
@@ -230,14 +229,12 @@ class ResidentBatchTask:
     requests: tuple[JobRequest, ...]
     progress_paths: dict | None = None
     capacity: int = DEFAULT_RESIDENT_CAPACITY
-    arena: ArenaHandle | None = None
 
 
 def execute_batch_with(
     cache: ResidentCache,
     requests: tuple[JobRequest, ...],
     progress_paths: dict | None = None,
-    arena: ArenaHandle | None = None,
 ) -> BatchOutcome:
     """Execute a batch against ``cache``: `repro.serve.jobs.execute_batch`
     fed entries from the LRU instead of cold builds.
@@ -251,7 +248,7 @@ def execute_batch_with(
     """
     stats0 = cache.stats.as_dict()
     outcome = execute_batch(
-        requests, progress_paths, entry_for=cache.get_or_build, arena=arena
+        requests, progress_paths, entry_for=cache.get_or_build
     )
     for key, val in cache.stats.as_dict().items():
         outcome.cache_stats[key] = val - stats0[key]
@@ -264,9 +261,7 @@ def execute_batch_resident(task: ResidentBatchTask) -> BatchOutcome:
     """Pool-mappable resident execution (runs in a lane worker; uses
     the process-global cache so state survives across submissions)."""
     cache = process_resident_cache(task.capacity)
-    return execute_batch_with(
-        cache, task.requests, task.progress_paths, task.arena
-    )
+    return execute_batch_with(cache, task.requests, task.progress_paths)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ from repro.durable.progress import read_progress
 from repro.durable.results import CODE_DUPLICATE_COMPLETED, ResultStore
 from repro.durable.slo import SloTracker
 from repro.parallel.pool import (
-    ArenaHandle,
     WorkerCrashError,
     close_shared_backend,
     shared_backend,
@@ -157,9 +156,6 @@ class ServeConfig:
     resident: bool = True
     #: Warm systems kept per worker process (LRU beyond this).
     resident_capacity: int = DEFAULT_RESIDENT_CAPACITY
-    #: Per-lane shared-memory output arena for zero-copy force blocks
-    #: (0 disables arenas; oversize blocks fall back to pickled arrays).
-    arena_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -182,10 +178,6 @@ class ServeConfig:
         if self.resident_capacity < 1:
             raise ValueError(
                 f"resident_capacity must be >= 1: {self.resident_capacity}"
-            )
-        if self.arena_bytes < 0:
-            raise ValueError(
-                f"arena_bytes must be >= 0: {self.arena_bytes}"
             )
 
 
@@ -283,9 +275,6 @@ class SimulationService:
         self._progress_dir: str | None = None
         self._progress_tmp: str | None = None
         # Resident-state layer (DESIGN.md §14).
-        #: lane -> shared-memory output arena (created lazily, parent-
-        #: owned, unlinked at drain).
-        self._arenas: dict[int, ArenaHandle] = {}
         #: lane -> latest worker-reported resident snapshot.
         self._lane_resident: dict[int, dict] = {}
         #: Service-owned cache for the serial (inline) execution path.
@@ -433,11 +422,6 @@ class SimulationService:
         self._servers.clear()
         close_shared_backend()
         self.backend = None
-        # Arenas are parent-owned precisely so this unlink runs even
-        # when lanes crashed mid-batch (no stranded /dev/shm segments).
-        for arena in self._arenas.values():
-            arena.unlink()
-        self._arenas.clear()
         if self._serial_resident is not None:
             self._serial_resident.invalidate()
             self._serial_resident = None
@@ -553,8 +537,7 @@ class SimulationService:
         task = WarmupTask(
             request=request, capacity=self.config.resident_capacity
         )
-        with backend.lane_lock(lane):
-            info = backend.run_on(lane, warmup_job, task)
+        info = backend.run_on(lane, warmup_job, task)
         info["lane"] = lane
         if info.get("resident"):
             self._lane_resident[lane] = {
@@ -684,9 +667,7 @@ class SimulationService:
         With residency on, the batch is routed to the *lane* owning its
         system key (`lane_for_system` — every unit in a batch shares one
         key by `Batcher` construction), so consecutive batches for one
-        system land in the process already holding it warm.  The lane
-        lock spans execution *and* arena decode: the lane's output arena
-        is only valid until its next task.
+        system land in the process already holding it warm.
         """
         backend = self.backend
         if backend is None or not getattr(backend, "parallel", False):
@@ -704,11 +685,8 @@ class SimulationService:
             requests=tuple(units),
             progress_paths=progress_paths,
             capacity=self.config.resident_capacity,
-            arena=self._lane_arena(lane),
         )
-        with backend.lane_lock(lane):
-            outcome = backend.run_on(lane, execute_batch_resident, task)
-            self._resolve_arena_refs(outcome, lane)
+        outcome = backend.run_on(lane, execute_batch_resident, task)
         if outcome.resident:
             self._lane_resident[lane] = dict(outcome.resident)
         return outcome
@@ -721,32 +699,6 @@ class SimulationService:
                 self.config.resident_capacity
             )
         return self._serial_resident
-
-    def _lane_arena(self, lane: int) -> ArenaHandle | None:
-        """This lane's output arena, created on first use (parent-owned
-        so a crashed lane cannot strand the segment)."""
-        if self.config.arena_bytes <= 0:
-            return None
-        arena = self._arenas.get(lane)
-        if arena is None:
-            arena = ArenaHandle.allocate(self.config.arena_bytes)
-            self._arenas[lane] = arena
-        return arena
-
-    def _resolve_arena_refs(self, outcome: BatchOutcome, lane: int) -> None:
-        """Materialise arena-resident force blocks while the lane lock
-        still protects the arena (one memcpy replaces pickle+IPC)."""
-        arena = self._arenas.get(lane)
-        if arena is None:
-            return
-        import numpy as _np
-
-        for payload in outcome.payloads:
-            if payload is None:
-                continue
-            ref = payload.pop("forces_ref", None)
-            if ref is not None:
-                payload["forces"] = _np.array(arena.read(ref))
 
     def _progress_files(
         self, units: tuple[JobRequest, ...]

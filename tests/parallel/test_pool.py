@@ -11,6 +11,11 @@ round trips, and crashed-worker surfacing.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -309,24 +314,38 @@ class TestSerialPoolBitIdentity:
         np.testing.assert_array_equal(serial.pair_cj, plist_pool.pair_cj)
         np.testing.assert_array_equal(serial.perm, plist_pool.perm)
 
-    def test_exact_filter_chunks_identical(self, water_600, nb_75, pool2):
-        # Shrink the chunk below the candidate count so the pool path
-        # (shared positions + per-chunk jobs) actually fans out.
-        from repro.md.pairlist import _cluster_particles, _exact_cluster_filter
+    def test_exact_filter_chunks_identical(
+        self, water_600, nb_75, pool2, monkeypatch
+    ):
+        # Lower the fan-out threshold below the candidate count so the
+        # pool path (shared positions + per-worker jobs) actually runs.
+        from repro.md import pairlist
 
+        monkeypatch.setattr(pairlist, "EXACT_FILTER_FANOUT", 256)
+        sorted_pos, ci, cj = _exact_filter_inputs(water_600, 1200)
         box = water_600.box
-        _, _, sorted_pos, _ = _cluster_particles(
-            box.wrap(water_600.positions), box
+        serial = pairlist._exact_cluster_filter(
+            sorted_pos, box, ci, cj, nb_75.r_list
         )
-        n_clusters = len(sorted_pos) // 4
-        rng = np.random.default_rng(3)
-        ci = rng.integers(0, n_clusters, size=1200)
-        cj = rng.integers(0, n_clusters, size=1200)
-        serial = _exact_cluster_filter(sorted_pos, box, ci, cj, nb_75.r_list)
-        pooled = _exact_cluster_filter(
-            sorted_pos, box, ci, cj, nb_75.r_list, chunk=256, backend=pool2
+        pooled = pairlist._exact_cluster_filter(
+            sorted_pos, box, ci, cj, nb_75.r_list, backend=pool2
         )
         np.testing.assert_array_equal(serial, pooled)
+
+    def test_exact_filter_splits_by_worker_count(
+        self, water_600, nb_75, monkeypatch
+    ):
+        # One contiguous, near-equal chunk per worker: the largest chunk
+        # sets the time, so a fixed chunk size would leave a worker idle.
+        from repro.md import pairlist
+
+        monkeypatch.setattr(pairlist, "EXACT_FILTER_FANOUT", 256)
+        sorted_pos, ci, cj = _exact_filter_inputs(water_600, 1001)
+        backend = _RecordingBackend(3)
+        pairlist._exact_cluster_filter(
+            sorted_pos, water_600.box, ci, cj, nb_75.r_list, backend=backend
+        )
+        assert backend.chunk_sizes == [333, 334, 334]
 
     def test_multirank_fault_replay_identical(self, water_600, nb_75, pool2):
         from repro.core.engine import EngineConfig
@@ -375,6 +394,35 @@ class TestSerialPoolBitIdentity:
         # Rank 1's CPE events landed on shifted tracks.
         cpe_tracks = {e.cpe_id for e in trace_a.events if e.cpe_id >= 0}
         assert any(t >= config.chip.n_cpes for t in cpe_tracks)
+
+
+def _exact_filter_inputs(system, n_candidates):
+    """Sorted slot positions and random candidate cluster pairs."""
+    from repro.md.pairlist import _cluster_particles
+
+    box = system.box
+    _, _, sorted_pos, _ = _cluster_particles(box.wrap(system.positions), box)
+    n_clusters = len(sorted_pos) // 4
+    rng = np.random.default_rng(3)
+    ci = rng.integers(0, n_clusters, size=n_candidates)
+    cj = rng.integers(0, n_clusters, size=n_candidates)
+    return sorted_pos, ci, cj
+
+
+class _RecordingBackend(SerialBackend):
+    """A serial backend that claims ``n_workers`` and records how many
+    candidates each submitted exact-filter task carries."""
+
+    parallel = True
+
+    def __init__(self, n_workers):
+        self.n_workers = n_workers
+        self.chunk_sizes = []
+
+    def map(self, fn, items):
+        items = list(items)
+        self.chunk_sizes.extend(len(task.ci) for task in items)
+        return super().map(fn, items)
 
 
 class TestRankFaultDerivation:
@@ -470,59 +518,37 @@ class TestAffinityLanes:
         assert backend.run_on(0, _square, 3) == 9
         with pytest.raises(ValueError):
             backend.run_on(1, _square, 3)
-        with backend.lane_lock(0):
-            pass
 
+    def test_concurrent_first_use_creates_one_lane(self, monkeypatch):
+        # Service batches and warmups reach run_on from several threads;
+        # the first use of a lane must still spawn exactly one executor.
+        created = []
 
-# ---------------------------------------------------------------------------
-# Zero-copy output arenas
-# ---------------------------------------------------------------------------
+        class CountingExecutor(pool_mod.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
 
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", CountingExecutor)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
 
-def _pack_arange(arena):
-    arr = np.arange(32, dtype=np.float64).reshape(8, 4)
-    return arena.pack([arr])[0]
+        def first_use(_):
+            barrier.wait(timeout=60)
+            return backend.run_on(0, _pid, None)
 
-
-class TestArena:
-    def test_pack_read_roundtrip(self):
-        from repro.parallel.pool import ARENA_ALIGN, ArenaHandle
-
-        arena = ArenaHandle.allocate(4096)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            a = np.arange(12, dtype=np.float64).reshape(3, 4)
-            b = np.arange(7, dtype=np.int32)
-            refs = arena.pack([a, b])
-            assert all(ref.offset % ARENA_ALIGN == 0 for ref in refs)
-            np.testing.assert_array_equal(arena.read(refs[0]), a)
-            np.testing.assert_array_equal(arena.read(refs[1]), b)
-            assert arena.read(refs[0]).dtype == a.dtype
+            with PoolBackend(2) as backend:
+                with ThreadPoolExecutor(n_threads) as threads:
+                    pids = set(threads.map(first_use, range(n_threads)))
+                lanes = list(backend._lanes)
         finally:
-            arena.unlink()
-
-    def test_overflow_returns_none(self):
-        from repro.parallel.pool import ArenaHandle
-
-        arena = ArenaHandle.allocate(128)
-        try:
-            assert arena.pack([np.zeros(1024, dtype=np.float64)]) is None
-        finally:
-            arena.unlink()
-
-    def test_worker_packs_parent_reads(self):
-        from repro.parallel.pool import ArenaHandle
-
-        arena = ArenaHandle.allocate(4096)
-        try:
-            with PoolBackend(1) as backend:
-                with backend.lane_lock(0):
-                    ref = backend.run_on(0, _pack_arange, arena)
-                    out = np.array(arena.read(ref))
-            np.testing.assert_array_equal(
-                out, np.arange(32, dtype=np.float64).reshape(8, 4)
-            )
-        finally:
-            arena.unlink()
+            sys.setswitchinterval(interval)
+        assert len(pids) == 1
+        assert len(created) == 1
+        assert lanes == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +592,46 @@ class TestSegmentAudit:
                     backend.map(_exit_hard, [1, 2])
         assert set(live_created_segments()) == before
 
-    def test_arena_unlink_clears_registry(self):
-        from repro.parallel.pool import ArenaHandle, live_created_segments
+    def test_worker_attach_leaves_tracker_alone(self):
+        """Workers forked after the creator's resource tracker started
+        share it; an attach that registered and unregistered there would
+        drop the creator's registration, and the creator's unlink would
+        then make the tracker print a KeyError traceback."""
+        script = textwrap.dedent(
+            """
+            import os
 
-        arena = ArenaHandle.allocate(256)
-        name = arena.data.name
-        assert name in live_created_segments()
-        arena.unlink()
-        assert name not in live_created_segments()
+            import numpy as np
+
+            from repro.parallel.pool import PoolBackend, as_input, shared_inputs
+
+
+            def total(handle):
+                return float(as_input(handle).sum())
+
+
+            print(os.getpid(), flush=True)
+            with PoolBackend(2) as backend:
+                for phase in range(2):
+                    data = np.arange(1000.0) + phase
+                    with shared_inputs(backend, data=data) as shared:
+                        sums = backend.map(total, [shared["data"]] * 4)
+                    assert sums == [float(data.sum())] * 4
+            """
+        )
+        src = os.path.join(os.path.dirname(pool_mod.__file__), "..", "..")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        pid = proc.stdout.split()[0]
+        if os.path.isdir("/dev/shm"):
+            left = [
+                name for name in os.listdir("/dev/shm")
+                if name.startswith(f"repro-{pid}-")
+            ]
+            assert left == []

@@ -367,12 +367,13 @@ class TestAblation:
         np.testing.assert_array_equal(
             serial.payload["forces"], direct["forces"]
         )
-        backend = PoolBackend(1)
+        # Two workers make the backend parallel, so a lane process runs
+        # the batch and the forces come back in its pickled outcome.
+        backend = PoolBackend(2)
         try:
             pooled = run(scenario(backend))
         finally:
             backend.close()
-        # Pool forces travelled through the shared-memory arena.
         np.testing.assert_array_equal(
             pooled.payload["forces"], direct["forces"]
         )

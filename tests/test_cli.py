@@ -59,7 +59,7 @@ class TestParser:
         shared = [
             "--max-depth", "7", "--max-per-tenant", "3", "--max-batch", "5",
             "--max-inflight", "2", "--no-dedup", "--no-resident",
-            "--resident-capacity", "9", "--arena-bytes", "4096",
+            "--resident-capacity", "9",
             "--journal-dir", "jdir", "--result-store-max", "11",
             "--journal-fsync",
         ]
@@ -76,14 +76,14 @@ class TestParser:
             max_depth=7, max_per_tenant=3, max_batch=5, max_inflight=2,
             dedup=False, backend="pool", workers=3, journal_dir="jdir",
             result_store_max=11, journal_fsync=True, resident=False,
-            resident_capacity=9, arena_bytes=4096,
+            resident_capacity=9,
         )
         default = ServeConfig()
         changed = {
             name for name, value in vars(serve).items()
             if value != getattr(default, name)
         }
-        assert len(changed) == 13  # every flag moved its field
+        assert len(changed) == 12  # every flag moved its field
 
 
 class TestRunCommands:
