@@ -33,9 +33,9 @@ panels: one fold over the valid lanes, the pair kernel on the in-cutoff
 lanes only, then the scatter, keeping the lanes within ``r_keep`` as
 one int32 each.  Only an evaluation at other positions fills the
 kept-lane panels from that selection, so a list evaluated once (a serve
-batch, a warmup, a minimiser trial) never pays for them.  Both paths
-group forces, energy and virial by the reference's ``chunk_pairs``
-chunks, so they stay bit-identical above one chunk too.
+batch, a warmup) never pays for them.  Both paths group forces, energy
+and virial by the reference's ``chunk_pairs`` chunks, so they stay
+bit-identical above one chunk too.
 
 Implementation selection: ``REPRO_KERNEL`` is the one switch, read
 only by ``resolve_kernel_impl``; it defaults to ``"vectorized"``, and
@@ -237,10 +237,10 @@ def walk_fidelity_partition_vectorized(task):
 #: before the guard re-anchors.
 PRUNE_MARGIN = 0.20
 
-#: Per-lane pair constants: ``felec*qq``, ``c6``, ``c12`` and the
-#: step-invariant products hoisted out of the pair kernel (``6*c6``,
-#: ``12*c12`` and, with ``shift_lj``, the LJ shift energy ``se``).
-_CONSTS = ("fqq", "c6", "c12", "c6_6", "c12_12", "se")
+#: Per-lane pair constants: ``felec*qq``, ``c6``, ``c12`` and, with
+#: ``shift_lj``, the LJ shift energy ``se``.  ``6*c6`` and ``12*c12``
+#: are formed per block in the pair kernel's scratch, not kept.
+_CONSTS = ("fqq", "c6", "c12", "se")
 
 
 def valid_lanes(
@@ -375,7 +375,7 @@ def _pair_constants(
     ``out[name][lo:lo+len(vi)]``; ``t`` is scratch of that length.
 
     Exactly as the reference tiles form them (elementwise, so gathering
-    to a lane subset first is exact), with the step-invariant products
+    to a lane subset first is exact), with ``felec*qq`` and the LJ shift
     hoisted out of the pair kernel: they commute bit for bit with its
     in-kernel order.
     """
@@ -391,8 +391,6 @@ def _pair_constants(
     c6, c12 = out["c6"][lo:hi], out["c12"][lo:hi]
     np.take(c6_flat, pair_type, out=c6)
     np.take(c12_flat, pair_type, out=c12)
-    np.multiply(c6, dt(6.0), out=out["c6_6"][lo:hi])
-    np.multiply(c12, dt(12.0), out=out["c12_12"][lo:hi])
     if params.shift_lj:
         # lj_shift_energy, in place: ((c12*inv6)*inv6) - (c6*inv6).
         inv6 = (1.0 / params.r_cut) ** 6
@@ -628,11 +626,13 @@ def _pair_terms_compact(
     Performs the same floating-point operations in the same association
     order as :func:`repro.md.nonbonded.pair_force_energy` with an
     all-true mask (compact lanes are topology-valid by construction),
-    with the step-invariant factors (``felec*qq``, ``6*c6``, ``12*c12``,
-    the LJ shift) taken pre-multiplied from ``consts`` — products that
-    commute bit-for-bit.  Outputs are views into the scratch ``s`` and
-    bitwise equal to the reference lane for lane (test-enforced on
-    random inputs for every coulomb mode).
+    with the step-invariant factors (``felec*qq``, the LJ shift) taken
+    pre-multiplied from ``consts`` — products that commute bit-for-bit
+    — and ``12*c12``, ``6*c6`` formed per block in scratch, so the
+    force is ``((12*c12)*inv_r6)*inv_r6 - (6*c6)*inv_r6`` as there.
+    Outputs are views into the scratch ``s`` and bitwise equal to the
+    reference lane for lane (test-enforced on random inputs for every
+    coulomb mode).
     """
     dt = r2.dtype.type
     n = len(r2)
@@ -643,7 +643,7 @@ def _pair_terms_compact(
         t[:n] for t in s.t
     )
     c6, c12 = b["c6"][lo:hi], b["c12"][lo:hi]
-    fqq, c6_6, c12_12 = b["fqq"][lo:hi], b["c6_6"][lo:hi], b["c12_12"][lo:hi]
+    fqq = b["fqq"][lo:hi]
 
     np.less(r2, dt(params.r_cut) ** 2, out=mask)
     np.greater(r2, dt(0.0), out=nmask)
@@ -661,9 +661,11 @@ def _pair_terms_compact(
     e_lj -= t6
     if params.shift_lj:
         e_lj -= b["se"][lo:hi]
-    np.multiply(c12_12, inv_r6, out=f_lj)
+    np.multiply(c12, dt(12.0), out=f_lj)
     f_lj *= inv_r6
-    np.multiply(c6_6, inv_r6, out=t6)
+    f_lj *= inv_r6
+    np.multiply(c6, dt(6.0), out=t6)
+    t6 *= inv_r6
     f_lj -= t6
     f_lj *= inv_r2
 
@@ -903,8 +905,8 @@ def compute_short_range_vectorized(
       only, and the scatter (:func:`_first_evaluation`).  No kept-lane
       buffer is built; the lanes within ``r_keep`` are kept as a
       pending selection (one int32 each) plus the anchor positions.
-      A list evaluated once — a serve batch, a warmup, a minimiser
-      trial — never builds more.
+      A list evaluated once — a serve batch, a warmup — never builds
+      more.
     * **Later evaluations** at other positions fill the kept-lane
       buffers from that selection, once; then each step gathers, folds,
       runs the pair kernel and scatters, block by block over the kept

@@ -3,6 +3,11 @@
 Freshly built lattices contain close contacts; a few dozen descent steps
 relax them so the leapfrog integrator starts from a physical state — the
 same preparation the paper's water benchmark inputs received.
+
+Like an MD run, the minimiser keeps its pair list until the Verlet
+buffer is spent (`repro.md.verlet_buffer.check_buffer_sufficient`;
+Páll et al. 2015) and projects every trial with the constraint solver
+the system's MD loop uses (SETTLE for pure water under ``auto``).
 """
 
 from __future__ import annotations
@@ -11,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.md.constraints import ShakeSolver
+from repro.md.constraints import ConstraintError
 from repro.md.mdloop import MdConfig, MdLoop
 from repro.md.system import ParticleSystem
+from repro.md.verlet_buffer import check_buffer_sufficient
 
 
 @dataclass
@@ -36,17 +42,19 @@ def minimize(
 
     Each iteration displaces along the force by ``step / max|F|``; accepted
     moves grow the step 1.2x, rejected moves shrink it 0.2x (GROMACS'
-    scheme).  Constrained systems re-project onto the constraint manifold
-    after every accepted move.
+    scheme).  Constrained systems project every trial onto the
+    constraint manifold with ``config.constraint_algorithm``'s solver; a
+    trial it cannot project (`ConstraintError`) is rejected.  The pair
+    list is rebuilt only after a trial that may have brought a pair from
+    outside ``r_list`` at the last build inside ``r_cut``, so every
+    evaluation sees a fresh list's in-cutoff pairs; a rejected trial
+    restores the old positions and builds nothing.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1: {n_steps}")
     loop = MdLoop(system, config)
-    shake = (
-        ShakeSolver(system.topology.constraints, system.masses)
-        if system.topology.constraints
-        else None
-    )
+    solver = loop.shake
+    nb = config.nonbonded
 
     loop._rebuild_pairlist(loop_timing := _fresh_timing())
     forces, energy = loop.compute_forces(loop_timing)
@@ -63,23 +71,26 @@ def minimize(
             break
         step = min(step, max_step)
         trial = system.positions + forces * (step / fmax)
-        if shake is not None:
+        if solver is not None:
             try:
-                shake.apply_positions(trial, system.positions, system.box)
-            except Exception:
+                solver.apply_positions(trial, system.positions, system.box)
+            except ConstraintError:
                 # Move too large for the projection: reject and shrink.
                 step *= 0.2
                 continue
         old_positions = system.positions
         system.positions = system.box.wrap(trial)
-        # Displacements can exceed the pair-list buffer; rebuild each trial.
-        loop._rebuild_pairlist(loop_timing)
+        if not check_buffer_sufficient(
+            loop._pairlist_ref_positions, system.positions, system.box,
+            nb.r_cut, nb.r_list,
+        ):
+            loop._rebuild_pairlist(loop_timing)
         new_forces, new_energy = loop.compute_forces(loop_timing)
         if new_energy < energy:
             energy, forces = new_energy, new_forces
             step *= 1.2
         else:
-            # The next trial builds its own list; nothing reads one here.
+            # The list stays: the buffer check measures from its build.
             system.positions = old_positions
             step *= 0.2
             if step < 1e-8:

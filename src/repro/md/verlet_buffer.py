@@ -13,8 +13,10 @@ few-thousand-particle system inside the buffer per rebuild — drift below
 GROMACS' default 0.005 kJ/mol/ps tolerance for water).
 
 `check_buffer_sufficient` is the empirical counterpart: it measures
-actual displacements over a run and verifies no interacting pair was
-missed — used by the property tests.
+actual displacements since a list was built and tells whether an
+interacting pair could have been missed.  It drives the minimiser's
+rebuilds (`repro.md.minimize`: a list serves trials until the check
+fails) and the property tests.
 """
 
 from __future__ import annotations

@@ -231,40 +231,61 @@ class TestMinimize:
         solver = ShakeSolver(system.topology.constraints, system.masses)
         assert solver.max_violation(system.positions, system.box) < 1e-5
 
-    def test_every_list_build_is_evaluated(self, monkeypatch):
-        """A rejected trial restores the old positions without building a
-        list: every list the minimiser builds is followed by a force
-        evaluation on it."""
+    def test_rebuilds_only_when_buffer_spent(self, monkeypatch):
+        """A list serves trials until one may have brought a pair from
+        outside ``r_list`` inside ``r_cut``; a rejected trial restores
+        the old positions without building a list, so every build is
+        followed by an evaluation at the build's positions."""
         import importlib
 
         import repro.md.mdloop as mdloop
+        from repro.md.verlet_buffer import check_buffer_sufficient
 
         # `repro.md` re-exports the function under the module's name.
         minimize_mod = importlib.import_module("repro.md.minimize")
         events = []
         real_build = mdloop.build_pair_list
 
-        def build(*args, **kwargs):
-            events.append("build")
-            return real_build(*args, **kwargs)
+        def build(system, *args, **kwargs):
+            events.append(("build", system.positions.copy(), None))
+            return real_build(system, *args, **kwargs)
 
         class RecordingLoop(MdLoop):
             def compute_forces(self, timing=None):
                 forces, energy = super().compute_forces(timing)
-                events.append(energy)
+                events.append(("eval", self.system.positions.copy(), energy))
                 return forces, energy
 
         monkeypatch.setattr(mdloop, "build_pair_list", build)
         monkeypatch.setattr(minimize_mod, "MdLoop", RecordingLoop)
-        cfg = MdConfig(
-            nonbonded=NonbondedParams(r_cut=0.6, r_list=0.7, coulomb_mode="rf")
-        )
-        minimize_mod.minimize(build_water_system(300, seed=3), cfg, n_steps=30)
-        energies = np.array([e for e in events if e != "build"])
+        nb = NonbondedParams(r_cut=0.6, r_list=0.7, coulomb_mode="rf")
+        system = build_water_system(300, seed=3)
+        minimize_mod.minimize(system, MdConfig(nonbonded=nb), n_steps=30)
+
+        def fits(ref, pos):
+            return check_buffer_sufficient(
+                ref, pos, system.box, nb.r_cut, nb.r_list
+            )
+
+        energies = np.array([e for kind, _, e in events if kind == "eval"])
         accepted = np.minimum.accumulate(energies)
-        rejected = int(np.sum(energies[1:] >= accepted[:-1]))
-        assert rejected >= 1
-        assert [e == "build" for e in events] == [True, False] * len(energies)
+        assert int(np.sum(energies[1:] >= accepted[:-1])) >= 1  # rejections
+        ref = None
+        served = []
+        for k, (kind, pos, _) in enumerate(events):
+            if kind == "build":
+                # The trial the list is built for fails the check against
+                # the previous build, and is evaluated next.
+                assert ref is None or not fits(ref, pos)
+                nxt_kind, nxt_pos, _ = events[k + 1]
+                assert nxt_kind == "eval" and np.array_equal(nxt_pos, pos)
+                ref = pos
+                served.append(0)
+            else:
+                assert fits(ref, pos)
+                served[-1] += 1
+        assert len(served) >= 2
+        assert max(served) >= 2
 
     def test_invalid_steps(self, lj_small, nb_lj):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ occupancy and hit rate.
 from __future__ import annotations
 
 import asyncio
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -214,9 +216,11 @@ class TestPanelRelease:
 
 
 def _exit_hard(_):
-    import os
-
     os._exit(23)
+
+
+def _pid(_):
+    return os.getpid()
 
 
 class TestCrashEvictsResidency:
@@ -236,26 +240,43 @@ class TestCrashEvictsResidency:
         assert rebuilt.payloads == warm.payloads
 
     def test_service_survives_lane_crash(self):
+        """SIGKILL the lane that owns the job's system: the service is
+        the first caller to meet the dead lane, retries once on a fresh
+        lane, rebuilds the system cold and serves the direct path's
+        payload."""
+        request = req(seed=5, spec="CACHE")
+
         async def scenario():
-            backend = PoolBackend(1)
+            backend = PoolBackend(2)
             try:
                 config = ServeConfig(max_depth=8, backend=backend)
                 async with SimulationService(config) as svc:
                     first = await svc.submit_and_wait(req(seed=5))
-                    # Kill the lane out from under the service.
-                    with pytest.raises(WorkerCrashError):
-                        backend.run_on(0, _exit_hard, None)
-                    second = await svc.submit_and_wait(
-                        req(seed=5, spec="CACHE")
+                    lane = lane_for_system(
+                        request.system_key, backend.lane_count
                     )
-                    return first, second
+                    pid = backend.run_on(lane, _pid, None)
+                    builds = svc.stats.resident_builds
+                    os.kill(pid, signal.SIGKILL)
+                    second = await svc.submit_and_wait(request)
+                    return (
+                        first,
+                        second,
+                        svc.stats.retries,
+                        svc.stats.resident_builds - builds,
+                        pid,
+                        backend.run_on(lane, _pid, None),
+                    )
             finally:
                 backend.close()
 
-        first, second = run(scenario())
+        first, second, retries, new_builds, pid, new_pid = run(scenario())
         assert first.ok and second.ok
-        direct = execute_request(req(seed=5, spec="CACHE"))
-        assert second.payload == direct
+        assert second.attempts == 2
+        assert retries == 1
+        assert second.payload == execute_request(request)
+        assert new_pid != pid
+        assert new_builds == 1
 
 
 # ---------------------------------------------------------------------------
