@@ -28,14 +28,16 @@ Bit-identity rests on a small set of float32 accumulation identities
 
 The per-step path, `compute_short_range_vectorized`, serves pair lists
 of every size; the chunked reference runs only under
-``REPRO_KERNEL=scalar``.  A list's first evaluation builds no lane
-panels: one fold over the valid lanes, the pair kernel on the in-cutoff
-lanes only, then the scatter, keeping the lanes within ``r_keep`` as
-one int32 each.  Only an evaluation at other positions fills the
-kept-lane panels from that selection, so a list evaluated once (a serve
-batch, a warmup) never pays for them.  Both paths group forces, energy
-and virial by the reference's ``chunk_pairs`` chunks, so they stay
-bit-identical above one chunk too.
+``REPRO_KERNEL=scalar``.  Every evaluation is one block loop over a
+lane stream: one fold per lane, then the pair kernel, the force
+components and the scatter on the in-cutoff lanes only, whose energy
+and virial both kernels sum per chunk.  A list's first evaluation
+streams every valid lane and builds no lane panels, keeping the lanes
+within ``r_keep`` as one int32 each; only an evaluation at other
+positions fills the kept-lane panels from that selection and streams
+them, so a list evaluated once (a serve batch, a warmup) never pays
+for them.  Forces, energy and virial are grouped by the reference's
+``chunk_pairs`` chunks, so they stay bit-identical above one chunk too.
 
 Implementation selection: ``REPRO_KERNEL`` is the one switch, read
 only by ``resolve_kernel_impl``; it defaults to ``"vectorized"``, and
@@ -47,6 +49,7 @@ no caller, config or cache key needs to name one.
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -227,20 +230,27 @@ def walk_fidelity_partition_vectorized(task):
 # Per-step short-range evaluation over pruned lanes.
 # ---------------------------------------------------------------------------
 
-#: Prune radius margin (nm) beyond ``r_cut`` for the compacted lane
-#: set.  Wider keeps more lanes (slower steps, fewer re-anchors);
-#: narrower keeps fewer lanes but trips the drift guard sooner.  On the
-#: 1500-water benchmark at 300 K (~0.01 nm/step worst particle) the
-#: guard re-anchors about once per 10-step ``nstlist`` interval.  The
-#: keep radius may exceed ``r_list``: correctness only needs the kept
-#: set to be a superset of every lane that can come inside ``r_cut``
-#: before the guard re-anchors.
-PRUNE_MARGIN = 0.20
+#: Prune radius margin (nm) beyond ``r_cut`` for the kept lane set.
+#: Wider keeps more lanes (every step folds and compacts them all);
+#: narrower keeps fewer but trips the drift guard sooner, at
+#: ``2*max_displacement > PRUNE_MARGIN``.  Chosen by measurement against
+#: 0.2 nm (CHANGES.md): at 0.1 nm the 1500-water list keeps 313k lanes
+#: instead of 397k.  With the shipped 0.1 nm Verlet buffer the guard
+#: and the minimiser's buffer check (``2*max_move <= r_list - r_cut``)
+#: fire at the same displacement, up to rounding.  The keep radius may
+#: exceed ``r_list``: correctness only needs the kept set to be a
+#: superset of every lane that can come inside ``r_cut`` before the
+#: guard re-anchors.
+PRUNE_MARGIN = 0.10
 
 #: Per-lane pair constants: ``felec*qq``, ``c6``, ``c12`` and, with
 #: ``shift_lj``, the LJ shift energy ``se``.  ``6*c6`` and ``12*c12``
 #: are formed per block in the pair kernel's scratch, not kept.
 _CONSTS = ("fqq", "c6", "c12", "se")
+
+
+def _const_names(params: NonbondedParams) -> tuple[str, ...]:
+    return _CONSTS if params.shift_lj else _CONSTS[:-1]
 
 
 def valid_lanes(
@@ -299,51 +309,80 @@ def _lane_slots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(slot_i, slot_j)`` of flat tile lanes — `tile_indices`' layout
     inverted: lane ``m*16 + a*4 + b`` pairs slot ``4*ci[m] + a`` with
-    slot ``4*cj[m] + b`` (shifts and masks, as ``CLUSTER_SIZE`` is 4)."""
+    slot ``4*cj[m] + b`` (shifts and masks, as ``CLUSTER_SIZE`` is 4).
+    The slots are int64, numpy's index type, so gathers take them as
+    they are."""
     tile = lanes >> 4
+    four = np.int64(CLUSTER_SIZE)
     return (
-        np.take(plist.pair_ci, tile) * CLUSTER_SIZE + ((lanes >> 2) & 3),
-        np.take(plist.pair_cj, tile) * CLUSTER_SIZE + (lanes & 3),
+        np.take(plist.pair_ci, tile) * four + ((lanes >> 2) & 3),
+        np.take(plist.pair_cj, tile) * four + (lanes & 3),
     )
 
 
-def _segments(
-    lanes: np.ndarray, chunk_lanes: int, n_lanes: int, half: bool
-) -> list[tuple[int, int]]:
-    """Ranges ``(a, z)`` of ``lanes`` (ascending full-lane positions)
-    whose forces the reference scatters as one group.
-
-    `compute_short_range` adds each chunk's i forces, then its j forces,
-    chunk by chunk, so a half list has one range per chunk of
-    ``chunk_lanes`` full lanes.  A full list scatters i forces only, in
-    lane order, so its grouping is invisible: one range.  The slots of
-    range ``(a, z)`` sit at ``[2a, 2z)`` of a slot array, i slots then
-    j slots: lane ``x`` has its i slot at ``a + x`` and its j slot at
-    ``z + x``.  With one range that is ``[i slots, j slots]``.
-    """
-    if not half:
-        return [(0, len(lanes))]
+def _chunk_cuts(
+    lanes: np.ndarray, chunk_lanes: int, plist: ClusterPairList
+) -> np.ndarray:
+    """Where the reference's chunks after the first start in ``lanes``
+    (ascending full-lane positions): each chunk holds ``chunk_lanes``
+    full lanes (``chunk_pairs`` tiles)."""
+    n_lanes = plist.n_cluster_pairs * CLUSTER_SIZE * CLUSTER_SIZE
     bounds = np.arange(chunk_lanes, n_lanes, chunk_lanes, dtype=lanes.dtype)
-    cuts = np.searchsorted(lanes, bounds)  # same dtype: no copy of lanes
-    ends = [0, *cuts.tolist(), len(lanes)]
+    return np.searchsorted(lanes, bounds)  # same dtype: no copy of lanes
+
+
+def _segments(cuts: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """Ranges ``(a, z)`` of a lane stream of length ``n``, one per
+    reference chunk, cut at ``cuts``."""
+    ends = [0, *cuts.tolist(), n]
     return list(zip(ends[:-1], ends[1:]))
 
 
 class _Scratch:
-    """Temporaries of one lane block, allocated per call.  ``compact``
-    adds room for the in-cutoff lanes a first evaluation compacts out of
-    a block: their ``r2`` and ``dr`` (``c``) and pair constants (``k``).
-    """
+    """Temporaries of one lane block, allocated per call: the fold's
+    ``dr`` (``d``) and ``r2``, the in-cutoff lanes compacted out of them
+    (``c``: ``r2`` and ``dr``) with their pair constants (``k``), the
+    pair kernel's temporaries (``t``) and two masks."""
 
-    def __init__(self, n: int, dtype, compact: bool = False) -> None:
-        self.d = np.empty((3, n), dtype=dtype)  # dr components
+    def __init__(self, n: int, dtype) -> None:
+        self.d = np.empty((3, n), dtype=dtype)
         self.r2 = np.empty(n, dtype=dtype)
-        self.t = np.empty((10, n), dtype=dtype)  # pair-kernel temporaries
+        self.t = np.empty((9, n), dtype=dtype)
         self.mask = np.empty((2, n), dtype=bool)
-        self.w = np.empty(n, dtype=np.float64)
-        if compact:
-            self.c = np.empty((4, n), dtype=dtype)
-            self.k = {name: np.empty(n, dtype=dtype) for name in _CONSTS}
+        self.c = np.empty((4, n), dtype=dtype)
+        self.k = {name: np.empty(n, dtype=dtype) for name in _CONSTS}
+
+
+def _mapped(shape, dtype) -> np.ndarray:
+    """``np.empty(shape, dtype)`` in an anonymous mapping of its own.
+
+    For outputs sized for a whole lane stream but written only in part:
+    pages never written are never resident, and freeing the array
+    unmaps them all.  Taken from numpy's allocator, such an array is
+    carved from the malloc heap once earlier frees have raised glibc's
+    mmap threshold; freed there, its unwritten rest is written by later
+    allocations, which lifted a long-lived serve worker's peak RSS by
+    up to 10-12 %.
+    """
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count=count).reshape(shape)
+
+
+def _outputs(n: int, dtype, half: bool, empty=np.empty) -> dict:
+    """Compact outputs of an evaluation over a stream of ``n`` lanes,
+    with room for every lane though only the in-cutoff ones are written:
+    their i (and, on a half list, j) scatter slots (``idx``, int64, laid
+    out by `_evaluate`), the float64 weight buffer x, y and z take in
+    turn (``wb``), the force components (``fvec``), energies (``ec``)
+    and float64 ``f*r2`` (``wc``).  ``empty`` allocates them."""
+    return {
+        "idx": empty(2 * n if half else n, np.int64),
+        "wb": empty(2 * n if half else n, np.float64),
+        "fvec": empty((3, n), dtype),
+        "ec": empty(n, dtype),
+        "wc": empty(n, np.float64),
+    }
 
 
 def _slot_tables(
@@ -403,40 +442,35 @@ def _pair_constants(
 
 @dataclass
 class CompactPanels:
-    """Flattened, pruned lane data for the per-step fast path.
+    """Pruned lane data for the per-step fast path.
 
     The kept lanes are the tile entries that are topology-valid *and*
     within ``r_keep = r_cut + PRUNE_MARGIN`` of each other at
     ``anchor_pos``.  A list's first evaluation only selects them
     (``sel``); the next evaluation at other positions fills the
     kept-lane buffers from that selection at ``anchor_pos``, and each
-    drift-guard re-anchor selects and fills again.  A pruned lane can
-    only contribute an exact zero in the reference evaluation, and every
-    sum starts at +0.0, which adding a zero of either sign leaves
-    unchanged: dropping the lane never changes a bit.
+    drift-guard re-anchor selects and fills again.  A pruned lane lies
+    outside the cutoff, where it contributes exact zeros to the forces
+    and nothing to energy or virial, so dropping it never changes a bit.
     """
 
     #: Kept-lane arrays at capacity ``cap``, consumed as ``[:n_kept]``
     #: views, so a re-anchor refills in place instead of reallocating
     #: (large numpy frees go straight back to the OS, so reallocation
-    #: costs a page-fault storm every refresh).  Per kept lane: the i/j
-    #: slots (int64, they feed ``np.bincount``; `_segments` layout), the
-    #: full-lane position (int32), the pair constants (`_CONSTS`), the
-    #: force components, and one float64 weight buffer shared by x, y
-    #: and z.  Empty until the first fill.
+    #: costs a page-fault storm every refresh).  Per kept lane: the i
+    #: and j slots (int64 rows of ``sidx``, fed to the fold), the pair
+    #: constants (`_CONSTS`) and room for a steady evaluation's compact
+    #: outputs (`_outputs`).  Empty until the first fill.
     bufs: dict = field(repr=False)
     cap: int
     n_kept: int
-    e_full: np.ndarray = field(repr=False)
-    w_full: np.ndarray = field(repr=False)
     f_sorted: np.ndarray = field(repr=False)
     anchor_pos: np.ndarray = field(repr=False)
     r_keep: float
     half: bool
-    has_shift_e: bool
     #: Full lanes per reference chunk (``chunk_pairs`` tiles).
     chunk_lanes: int
-    #: The kept lanes' scatter ranges (`_segments`), set by each fill.
+    #: The kept lanes' chunk ranges (`_segments`), set by each fill.
     segs: list = field(default_factory=list)
     #: A selection waiting for its fill: positions into `valid_lanes`
     #: (int32) of the lanes kept at ``anchor_pos``.  None once filled.
@@ -445,13 +479,11 @@ class CompactPanels:
     # Named views for tests; the hot path slices ``bufs`` directly.
     @property
     def idx_i(self) -> np.ndarray:
-        sidx = self.bufs["sidx"]
-        return np.concatenate([sidx[2 * a : a + z] for a, z in self.segs])
+        return self.bufs["sidx"][0, : self.n_kept]
 
     @property
     def idx_j(self) -> np.ndarray:
-        sidx = self.bufs["sidx"]
-        return np.concatenate([sidx[a + z : 2 * z] for a, z in self.segs])
+        return self.bufs["sidx"][1, : self.n_kept]
 
     @property
     def c6(self) -> np.ndarray:
@@ -462,18 +494,6 @@ class CompactPanels:
         return self.bufs["c12"][: self.n_kept]
 
 
-def _alloc_compact_bufs(cp: CompactPanels, dtype, cap: int) -> dict:
-    bufs = {
-        "sidx": np.empty(2 * cap, dtype=np.int64),
-        "lane_sel": np.empty(cap, dtype=np.int32),
-        "fvec": np.empty((3, cap), dtype=dtype),
-        "wb": np.empty(2 * cap if cp.half else cap, dtype=np.float64),
-    }
-    for name in _CONSTS if cp.has_shift_e else _CONSTS[:-1]:
-        bufs[name] = np.empty(cap, dtype=dtype)
-    return bufs
-
-
 def _new_panels(
     plist: ClusterPairList,
     params: NonbondedParams,
@@ -481,55 +501,38 @@ def _new_panels(
     chunk_pairs: int,
 ) -> CompactPanels:
     """Empty panels for ``plist`` anchored at ``pos`` (nothing kept yet)."""
-    tile = CLUSTER_SIZE * CLUSTER_SIZE
     return CompactPanels(
         bufs={},
         cap=0,
         n_kept=0,
-        e_full=np.zeros(plist.n_cluster_pairs * tile, dtype=pos.dtype),
-        w_full=np.zeros(plist.n_cluster_pairs * tile, dtype=np.float64),
         f_sorted=np.empty((plist.n_slots, 3), dtype=np.float64),
         anchor_pos=pos.copy(),
         r_keep=params.r_cut + PRUNE_MARGIN,
         half=plist.half,
-        has_shift_e=params.shift_lj,
-        chunk_lanes=chunk_pairs * tile,
+        chunk_lanes=chunk_pairs * CLUSTER_SIZE * CLUSTER_SIZE,
     )
 
 
 def _select(
-    cp: CompactPanels,
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    pos: np.ndarray,
-    panels: dict | None,
-    visit=None,
+    cp: CompactPanels, plist: ClusterPairList, pos: np.ndarray, lanes: np.ndarray
 ) -> None:
-    """Anchor ``cp`` at ``pos`` with the valid lanes within ``r_keep``
-    there as its pending selection (sized once, for every valid lane).
-
-    One rounded fold per valid lane, block by block — the reference's
-    fold, so ``r2`` equals the reference's.  ``visit(lanes, vi, vj, r2,
-    s)`` sees each block's full-lane positions, slots and ``r2`` (the
-    first evaluation computes forces from them).
-    """
-    lanes = valid_lanes(system, plist, panels)
+    """Re-anchor ``cp`` at ``pos``: the ``lanes`` (every valid lane)
+    within ``r_keep`` there become its pending selection, by one rounded
+    fold per lane, block by block."""
     pcols = np.ascontiguousarray(pos.T)
     box_arr = plist.box.array.astype(pos.dtype)
     keep2 = pos.dtype.type(cp.r_keep) ** 2
     block = max(1, min(LANE_BLOCK, len(lanes)))
-    s = _Scratch(block, pos.dtype, compact=visit is not None)
+    s = _Scratch(block, pos.dtype)
     sel = np.empty(len(lanes), dtype=np.int32)
     k = 0
     for lo in range(0, len(lanes), block):
-        blk = lanes[lo : lo + block]
-        vi, vj = _lane_slots(plist, blk)
+        vi, vj = _lane_slots(plist, lanes[lo : lo + block])
         r2 = minimum_image_fold(pcols, box_arr, vi, vj, s.d, s.r2, s.t[0])
-        kept = np.flatnonzero(r2 < keep2)
-        sel[k : k + len(kept)] = kept + lo
-        k += len(kept)
-        if visit is not None:
-            visit(blk, vi, vj, r2, s)
+        near = np.flatnonzero(r2 < keep2)
+        near += lo
+        sel[k : k + len(near)] = near
+        k += len(near)
     cp.sel = sel[:k]
     np.copyto(cp.anchor_pos, pos)
 
@@ -541,117 +544,73 @@ def _fill(
     params: NonbondedParams,
     panels: dict | None,
 ) -> None:
-    """Fill the kept-lane buffers from the pending selection: slots,
-    full-lane positions and pair constants (none depend on positions).
+    """Fill the kept-lane buffers from the pending selection: slots and
+    pair constants (neither depends on positions), and the kept lanes'
+    chunk ranges.
 
     When the kept set outgrows the capacity, the old buffers are
     released before the larger set is allocated, so a growth never
     holds two sets at once.
     """
-    dtype = cp.e_full.dtype
+    dtype = cp.anchor_pos.dtype
     lanes = valid_lanes(system, plist, panels)
     sel, cp.sel = cp.sel, None
     k = len(sel)
     if not cp.bufs or k > cp.cap:
         cp.bufs = {}
         cp.cap = k + (k >> 4) + 1024
-        cp.bufs = _alloc_compact_bufs(cp, dtype, cp.cap)
+        cp.bufs = _outputs(cp.cap, dtype, cp.half)
+        cp.bufs["sidx"] = np.empty((2, cp.cap), dtype=np.int64)
+        for name in _const_names(params):
+            cp.bufs[name] = np.empty(cp.cap, dtype=dtype)
     cp.n_kept = k
-    cp.e_full.fill(0.0)
-    cp.w_full.fill(0.0)
-    b = cp.bufs
-    lane_sel = b["lane_sel"][:k]
-    np.take(lanes, sel, out=lane_sel)
-    del sel
-    cp.segs = _segments(lane_sel, cp.chunk_lanes, len(cp.e_full), cp.half)
+    cuts = _chunk_cuts(lanes, cp.chunk_lanes, plist).astype(sel.dtype)
+    cp.segs = _segments(np.searchsorted(sel, cuts), k)
 
+    b = cp.bufs
     tables = _slot_tables(system, plist, dtype)
     block = max(1, min(LANE_BLOCK, k))
     scratch = np.empty(block, dtype=dtype)
-    for a, z in cp.segs:
-        for lo in range(a, z, block):
-            hi = min(lo + block, z)
-            vi, vj = _lane_slots(plist, lane_sel[lo:hi])
-            b["sidx"][a + lo : a + hi] = vi
-            b["sidx"][z + lo : z + hi] = vj
-            _pair_constants(tables, vi, vj, b, lo, params, scratch[: hi - lo])
+    for lo in range(0, k, block):
+        hi = min(lo + block, k)
+        vi, vj = _lane_slots(plist, np.take(lanes, sel[lo:hi]))
+        b["sidx"][0, lo:hi] = vi
+        b["sidx"][1, lo:hi] = vj
+        _pair_constants(tables, vi, vj, b, lo, params, scratch[: hi - lo])
 
 
 def _panel_key(dtype, params: NonbondedParams, chunk_pairs: int) -> tuple:
     # Different cutoffs never share a lane set, and the chunk size fixes
-    # the kept lanes' scatter layout.
+    # the kept lanes' chunk ranges.
     return ("compact", np.dtype(dtype).str, params, chunk_pairs)
-
-
-def compact_panels(
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    params: NonbondedParams,
-    dtype: type = np.float64,
-    panels: dict | None = None,
-    chunk_pairs: int = 65536,
-) -> CompactPanels:
-    """Filled pruned lane panels for ``plist``.
-
-    ``panels`` is the caller's per-list panel memo (a `StepCache` list
-    memo's ``panels``; None builds throwaway panels).  Memoised panels
-    are returned as they are, after filling a selection a first
-    evaluation left pending (at its own anchor); otherwise new panels
-    are anchored at the current positions.  The scan runs block by
-    block over the cached valid lanes — no ``(M, 4, 4, 3)`` broadcast.
-    """
-    key = _panel_key(dtype, params, chunk_pairs)
-    cp = panels.get(key) if panels is not None else None
-    if cp is None:
-        pos = plist.current_positions(system).astype(dtype)
-        cp = _new_panels(plist, params, pos, chunk_pairs)
-        _select(cp, system, plist, pos, panels)
-        if panels is not None:
-            panels[key] = cp
-    if cp.sel is not None:
-        _fill(cp, system, plist, params, panels)
-    return cp
 
 
 def _pair_terms_compact(
     r2: np.ndarray,
-    consts: dict,
-    lo: int,
+    k: dict,
     s: _Scratch,
     params: NonbondedParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`pair_force_energy` over lanes ``lo:lo+len(r2)`` of the pair
-    constants ``consts`` (`_CONSTS`), in place.
+    """`pair_force_energy` over in-cutoff lanes (every ``r2`` lies in
+    ``(0, r_cut**2)``), with pair constants ``k[name][:len(r2)]``
+    (`_CONSTS`), in place.
 
     Performs the same floating-point operations in the same association
-    order as :func:`repro.md.nonbonded.pair_force_energy` with an
-    all-true mask (compact lanes are topology-valid by construction),
-    with the step-invariant factors (``felec*qq``, the LJ shift) taken
-    pre-multiplied from ``consts`` — products that commute bit-for-bit
-    — and ``12*c12``, ``6*c6`` formed per block in scratch, so the
-    force is ``((12*c12)*inv_r6)*inv_r6 - (6*c6)*inv_r6`` as there.
-    Outputs are views into the scratch ``s`` and bitwise equal to the
-    reference lane for lane (test-enforced on random inputs for every
-    coulomb mode).
+    order as :func:`repro.md.nonbonded.pair_force_energy` does on a lane
+    inside its cutoff mask, with the step-invariant factors
+    (``felec*qq``, the LJ shift) taken pre-multiplied from ``k`` —
+    products that commute bit-for-bit — and ``12*c12``, ``6*c6`` formed
+    per block in scratch, so the force is
+    ``((12*c12)*inv_r6)*inv_r6 - (6*c6)*inv_r6`` as there.  Outputs are
+    views into the scratch ``s`` and bitwise equal to the reference lane
+    for lane (test-enforced on random inputs for every coulomb mode).
     """
     dt = r2.dtype.type
     n = len(r2)
-    hi = lo + n
-    b = consts
-    mask, nmask = s.mask[0, :n], s.mask[1, :n]
-    safe_r2, inv_r2, inv_r6, e_lj, f_lj, t6, t7, t8, t9, t10 = (
-        t[:n] for t in s.t
-    )
-    c6, c12 = b["c6"][lo:hi], b["c12"][lo:hi]
-    fqq = b["fqq"][lo:hi]
+    inv_r2, inv_r6, e_lj, f_lj, t6, t7, t8, t9, t10 = (t[:n] for t in s.t)
+    c6, c12, fqq = k["c6"][:n], k["c12"][:n], k["fqq"][:n]
 
-    np.less(r2, dt(params.r_cut) ** 2, out=mask)
-    np.greater(r2, dt(0.0), out=nmask)
-    mask &= nmask
-    np.logical_not(mask, out=nmask)
-    np.copyto(safe_r2, r2)
-    safe_r2[nmask] = dt(1.0)
-    np.divide(dt(1.0), safe_r2, out=inv_r2)
+    np.divide(dt(1.0), r2, out=inv_r2)
     np.multiply(inv_r2, inv_r2, out=inv_r6)
     inv_r6 *= inv_r2
 
@@ -660,7 +619,7 @@ def _pair_terms_compact(
     np.multiply(c6, inv_r6, out=t6)
     e_lj -= t6
     if params.shift_lj:
-        e_lj -= b["se"][lo:hi]
+        e_lj -= k["se"][:n]
     np.multiply(c12, dt(12.0), out=f_lj)
     f_lj *= inv_r6
     f_lj *= inv_r6
@@ -674,40 +633,38 @@ def _pair_terms_compact(
         # same elementwise operation.
         e_lj += dt(0.0)
         f_lj += dt(0.0)
-    else:
-        inv_r = t6
-        np.sqrt(inv_r2, out=inv_r)
-        if params.coulomb_mode == "cut":
-            np.multiply(fqq, inv_r, out=t7)  # e_coul
-            np.multiply(t7, inv_r2, out=t8)  # f_coul
-        elif params.coulomb_mode == "rf":
-            krf = dt(params.krf)
-            np.multiply(krf, safe_r2, out=t7)
-            np.add(inv_r, t7, out=t7)
-            t7 -= dt(params.crf)
-            np.multiply(fqq, t7, out=t7)  # e_coul
-            np.multiply(inv_r, inv_r2, out=t8)
-            t8 -= dt(2.0) * krf
-            np.multiply(fqq, t8, out=t8)  # f_coul
-        else:  # ewald real space
-            r = t8
-            np.sqrt(safe_r2, out=r)
-            r *= dt(params.ewald_beta)
-            erfc_br = erfc(r, out=t9)
-            np.multiply(r, r, out=t10)
-            np.negative(t10, out=t10)
-            gauss = np.exp(t10, out=t10)
-            np.multiply(fqq, erfc_br, out=t7)
-            t7 *= inv_r  # e_coul
-            np.multiply(erfc_br, inv_r, out=t8)  # r is dead; reuse t8
-            gauss *= dt(2.0 * params.ewald_beta / np.sqrt(np.pi))
-            t8 += gauss
-            np.multiply(fqq, t8, out=t8)
-            t8 *= inv_r2  # f_coul
-        f_lj += t8
-        e_lj += t7
-    f_lj[nmask] = dt(0.0)
-    e_lj[nmask] = dt(0.0)
+        return f_lj, e_lj
+    inv_r = t6
+    np.sqrt(inv_r2, out=inv_r)
+    if params.coulomb_mode == "cut":
+        np.multiply(fqq, inv_r, out=t7)  # e_coul
+        np.multiply(t7, inv_r2, out=t8)  # f_coul
+    elif params.coulomb_mode == "rf":
+        krf = dt(params.krf)
+        np.multiply(krf, r2, out=t7)
+        np.add(inv_r, t7, out=t7)
+        t7 -= dt(params.crf)
+        np.multiply(fqq, t7, out=t7)  # e_coul
+        np.multiply(inv_r, inv_r2, out=t8)
+        t8 -= dt(2.0) * krf
+        np.multiply(fqq, t8, out=t8)  # f_coul
+    else:  # ewald real space
+        r = t8
+        np.sqrt(r2, out=r)
+        r *= dt(params.ewald_beta)
+        erfc_br = erfc(r, out=t9)
+        np.multiply(r, r, out=t10)
+        np.negative(t10, out=t10)
+        gauss = np.exp(t10, out=t10)
+        np.multiply(fqq, erfc_br, out=t7)
+        t7 *= inv_r  # e_coul
+        np.multiply(erfc_br, inv_r, out=t8)  # r is dead; reuse t8
+        gauss *= dt(2.0 * params.ewald_beta / np.sqrt(np.pi))
+        t8 += gauss
+        np.multiply(fqq, t8, out=t8)
+        t8 *= inv_r2  # f_coul
+    f_lj += t8
+    e_lj += t7
     return f_lj, e_lj
 
 
@@ -726,51 +683,142 @@ def _drift2_max(
     return float(np.einsum("ij,ij->i", delta, delta).max())
 
 
+def _evaluate(
+    cp: CompactPanels,
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    params: NonbondedParams,
+    pos: np.ndarray,
+    lanes: np.ndarray | None = None,
+) -> ShortRangeResult:
+    """Evaluate at ``pos`` over a lane stream, block by block.
+
+    The stream is ``lanes``, every valid lane (`valid_lanes`), on a
+    list's first evaluation, whose scan also selects the lanes within
+    ``r_keep`` as ``cp``'s pending selection anchored at ``pos`` (as
+    `_select` does); or, for None, the filled kept lanes.
+    Per block: one rounded fold (the reference's, so ``r2`` equals its),
+    then only the lanes with ``0 < r2 < r_cut**2`` go on.  Their ``r2``,
+    ``dr``, slots and pair constants (derived from the slot tables on a
+    scan, gathered from the kept lanes' after a fill) are compacted, the
+    pair kernel runs on them, and their energies, float64 ``f*r2`` and
+    force components land in lane order in compact outputs (`_outputs`:
+    sized for the stream, of which only the written part touches
+    memory; on a first evaluation they are mapped (`_mapped`)).  Blocks
+    never cross a reference chunk.  The scatter slots are laid out per
+    chunk as its i slots, then its j slots.
+    """
+    dt = pos.dtype.type
+    if lanes is not None:
+        n = len(lanes)
+        segs = _segments(_chunk_cuts(lanes, cp.chunk_lanes, plist), n)
+        tables = _slot_tables(system, plist, pos.dtype)
+        out = _outputs(n, pos.dtype, cp.half, _mapped)
+        sel = np.empty(n, dtype=np.int32)
+        keep2 = dt(cp.r_keep) ** 2
+    else:
+        n, segs, out = cp.n_kept, cp.segs, cp.bufs
+        kept = [(name, out[name]) for name in _const_names(params)]
+    idx, fvec, ec, wc = out["idx"], out["fvec"], out["ec"], out["wc"]
+    # A chunk's j slots wait in the weight buffer (unused until
+    # `_finish`) and move behind its i slots when the chunk ends.
+    jdx = out["wb"].view(np.int64)
+    pcols = np.ascontiguousarray(pos.T)
+    box_arr = plist.box.array.astype(pos.dtype)
+    cut2 = dt(params.r_cut) ** 2
+    block = max(1, min(LANE_BLOCK, n))
+    s = _Scratch(block, pos.dtype)
+    chunks = []
+    c = n_sel = n_in_cutoff = 0
+    for a, z in segs:
+        c0 = c
+        ib = c0 if cp.half else 0  # compact lane x has its i slot at ib + x
+        for lo in range(a, z, block):
+            hi = min(lo + block, z)
+            if lanes is not None:
+                vi, vj = _lane_slots(plist, lanes[lo:hi])
+            else:
+                vi, vj = out["sidx"][0, lo:hi], out["sidx"][1, lo:hi]
+            r2 = minimum_image_fold(pcols, box_arr, vi, vj, s.d, s.r2, s.t[0])
+            if lanes is not None:
+                near = np.flatnonzero(r2 < keep2)
+                near += lo
+                sel[n_sel : n_sel + len(near)] = near
+                n_sel += len(near)
+            inside, positive = s.mask[0, : hi - lo], s.mask[1, : hi - lo]
+            np.less(r2, cut2, out=inside)
+            np.greater(r2, dt(0.0), out=positive)
+            inside &= positive
+            hit = np.flatnonzero(inside)
+            h = len(hit)
+            ci, cj = idx[ib + c : ib + c + h], jdx[c : c + h]
+            np.take(vi, hit, out=ci)
+            np.take(vj, hit, out=cj)
+            cr2 = s.c[0, :h]
+            np.take(r2, hit, out=cr2)
+            for d in range(3):
+                np.take(s.d[d], hit, out=s.c[1 + d, :h])
+            if lanes is not None:
+                _pair_constants(tables, ci, cj, s.k, 0, params, s.t[0, :h])
+            else:
+                for name, arr in kept:
+                    np.take(arr[lo:hi], hit, out=s.k[name][:h])
+            f_scalar, e = _pair_terms_compact(cr2, s.k, s, params)
+            n_in_cutoff += int(np.count_nonzero(f_scalar))
+            ec[c : c + h] = e
+            np.multiply(f_scalar, cr2, out=wc[c : c + h], dtype=np.float64)
+            for d in range(3):
+                np.multiply(f_scalar, s.c[1 + d, :h], out=fvec[d, c : c + h])
+            c += h
+        if cp.half:
+            idx[c0 + c : 2 * c] = jdx[c0:c]
+        chunks.append((c0, c))
+    if lanes is not None:
+        cp.sel = sel[:n_sel]
+        np.copyto(cp.anchor_pos, pos)
+    return _finish(system, plist, cp, out, chunks, n_in_cutoff)
+
+
 def _finish(
     system: ParticleSystem,
     plist: ClusterPairList,
     cp: CompactPanels,
-    idx: np.ndarray,
-    fvec: np.ndarray,
-    segs: list[tuple[int, int]],
-    wb: np.ndarray,
+    out: dict,
+    chunks: list[tuple[int, int]],
     n_in_cutoff: int,
 ) -> ShortRangeResult:
-    """The result of the lanes just evaluated, grouped as the reference
-    groups it.
+    """The result of the compact lanes just evaluated (`_evaluate`),
+    grouped as the reference groups it: ``chunks`` are their ranges per
+    reference chunk.
 
-    ``fvec`` (3, n) holds the lanes' force components and ``idx`` their
-    slots, laid out by ``segs`` (`_segments`).  One ``np.bincount`` per
-    component over weights laid out the same way (``wb``, float64)
-    reproduces the reference's sequential ``np.add.at`` passes bit for
-    bit: per slot, each chunk's i contributions, then its j
-    contributions, chunk by chunk (a dropped lane contributed exact
-    zeros).  Energy and virial sum each chunk's slice of the full-lane
-    panels ``e_full``/``w_full`` (the reference's reduction tree over
-    the same elements) and add the chunk sums in order.
+    One ``np.bincount`` per component over weights laid out as the
+    slots are (``wb``, float64) reproduces the reference's sequential
+    ``np.add.at`` passes bit for bit: per slot, each chunk's i
+    contributions, then its j contributions, chunk by chunk (a lane left
+    out contributed exact zeros, and a zero weight never changes a
+    slot).  A full list scatters i slots only, in lane order.  Energy
+    and virial sum each chunk's range in float64 (the reference's tree
+    over the same in-cutoff lanes) and add the chunk sums in order.
     """
-    n = segs[-1][1]
-    n_weights = 2 * n if plist.half else n
-    idx, wb = idx[:n_weights], wb[:n_weights]
-    for c in range(3):
-        f = fvec[c]
+    n = chunks[-1][1]
+    idx = out["idx"][: 2 * n if plist.half else n]
+    wb = out["wb"][: len(idx)]
+    for d in range(3):
+        f = out["fvec"][d]
         if plist.half:
-            for a, z in segs:
+            for a, z in chunks:
                 np.copyto(wb[2 * a : a + z], f[a:z])
                 np.negative(f[a:z], out=wb[a + z : 2 * z])
         else:
             np.copyto(wb, f[:n])
-        cp.f_sorted[:, c] = np.bincount(
-            idx, weights=wb, minlength=plist.n_slots
-        )
+        cp.f_sorted[:, d] = np.bincount(idx, weights=wb, minlength=plist.n_slots)
     forces = np.zeros((system.n_particles, 3), dtype=np.float64)
     plist.scatter_add(forces, cp.f_sorted)
 
     energy = virial = 0.0
-    step = cp.chunk_lanes
-    for lo in range(0, len(cp.e_full), step):
-        energy += float(cp.e_full[lo : lo + step].sum(dtype=np.float64))
-        virial += float(cp.w_full[lo : lo + step].sum())
+    for a, z in chunks:
+        energy += float(out["ec"][a:z].sum(dtype=np.float64))
+        virial += float(out["wc"][a:z].sum())
     if not plist.half:
         energy *= 0.5
         virial *= 0.5
@@ -779,110 +827,6 @@ def _finish(
         energy=energy,
         n_pairs_in_cutoff=n_in_cutoff,
         virial=virial,
-    )
-
-
-def _first_evaluation(
-    cp: CompactPanels,
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    params: NonbondedParams,
-    pos: np.ndarray,
-    panels: dict | None,
-) -> ShortRangeResult:
-    """Evaluate at ``pos`` without kept-lane buffers, leaving the kept
-    lanes as ``cp``'s pending selection.
-
-    Rides `_select`'s scan: per block, the pair kernel runs only on the
-    lanes with ``0 < r2 < r_cut**2`` (every other lane contributes
-    exact zeros), then everything is scattered at once.  Outputs are
-    sized once, for every valid lane; only the part that is written
-    touches memory.
-    """
-    dt = pos.dtype.type
-    n = len(valid_lanes(system, plist, panels))
-    tables = _slot_tables(system, plist, pos.dtype)
-    cut2 = dt(params.r_cut) ** 2
-    # The in-cutoff lanes in lane order: full-lane positions and forces.
-    full = np.empty(n, dtype=np.int32)
-    fvec = np.empty((3, n), dtype=pos.dtype)
-    c = n_in_cutoff = 0
-
-    def evaluate(lanes, vi, vj, r2, s):
-        nonlocal c, n_in_cutoff
-        m = len(r2)
-        inside, positive = s.mask[0, :m], s.mask[1, :m]
-        np.less(r2, cut2, out=inside)
-        np.greater(r2, dt(0.0), out=positive)
-        inside &= positive
-        hit = np.flatnonzero(inside)
-        h = len(hit)
-        cr2 = s.c[0, :h]
-        np.take(r2, hit, out=cr2)
-        for d in range(3):
-            np.take(s.d[d, :m], hit, out=s.c[1 + d, :h])
-        _pair_constants(tables, vi[hit], vj[hit], s.k, 0, params, s.t[0, :h])
-        f_scalar, e = _pair_terms_compact(cr2, s.k, 0, s, params)
-        n_in_cutoff += int(np.count_nonzero(f_scalar))
-        hits = full[c : c + h]
-        np.take(lanes, hit, out=hits)
-        cp.e_full[hits] = e
-        w = s.w[:h]
-        np.multiply(f_scalar, cr2, out=w, dtype=np.float64)
-        cp.w_full[hits] = w
-        for d in range(3):
-            np.multiply(f_scalar, s.c[1 + d, :h], out=fvec[d, c : c + h])
-        c += h
-
-    _select(cp, system, plist, pos, panels, evaluate)
-    segs = _segments(full[:c], cp.chunk_lanes, len(cp.e_full), cp.half)
-    idx = np.empty(2 * c, dtype=np.int64)
-    for a, z in segs:
-        for lo in range(a, z, LANE_BLOCK):
-            hi = min(lo + LANE_BLOCK, z)
-            idx[a + lo : a + hi], idx[z + lo : z + hi] = _lane_slots(
-                plist, full[lo:hi]
-            )
-    del full
-    wb = np.empty(2 * c if plist.half else c, dtype=np.float64)
-    return _finish(system, plist, cp, idx, fvec, segs, wb, n_in_cutoff)
-
-
-def _steady(
-    cp: CompactPanels,
-    system: ParticleSystem,
-    plist: ClusterPairList,
-    params: NonbondedParams,
-    pos: np.ndarray,
-) -> ShortRangeResult:
-    """Evaluate at ``pos`` over the filled kept lanes: gathers, one PBC
-    fold, ``r2``, the pair kernel and the scatter, block by block."""
-    k = cp.n_kept
-    b = cp.bufs
-    sidx = b["sidx"]
-    pcols = np.ascontiguousarray(pos.T)
-    box_arr = plist.box.array.astype(pos.dtype)
-    block = max(1, min(LANE_BLOCK, k))
-    s = _Scratch(block, pos.dtype)
-    n_in_cutoff = 0
-    for a, z in cp.segs:
-        for lo in range(a, z, block):
-            hi = min(lo + block, z)
-            r2 = minimum_image_fold(
-                pcols, box_arr, sidx[a + lo : a + hi], sidx[z + lo : z + hi],
-                s.d, s.r2, s.t[0],
-            )
-            f_scalar, e = _pair_terms_compact(r2, b, lo, s, params)
-            n_in_cutoff += int(np.count_nonzero(f_scalar))
-            lane_sel = b["lane_sel"][lo:hi]
-            cp.e_full[lane_sel] = e
-            w = s.w[: hi - lo]
-            np.multiply(f_scalar, r2, out=w, dtype=np.float64)
-            cp.w_full[lane_sel] = w
-            for c in range(3):
-                np.multiply(f_scalar, s.d[c, : hi - lo], out=b["fvec"][c, lo:hi])
-    return _finish(
-        system, plist, cp, sidx, b["fvec"], cp.segs, b["wb"], n_in_cutoff
     )
 
 
@@ -900,46 +844,48 @@ def compute_short_range_vectorized(
 
     * **First evaluation** — ``panels`` holds no panels for this dtype,
       these params and this ``chunk_pairs`` (or is None), or holds a
-      pending selection anchored at these very positions: one rounded
-      fold over the valid lanes, the pair kernel on the in-cutoff lanes
-      only, and the scatter (:func:`_first_evaluation`).  No kept-lane
-      buffer is built; the lanes within ``r_keep`` are kept as a
-      pending selection (one int32 each) plus the anchor positions.
-      A list evaluated once — a serve batch, a warmup — never builds
-      more.
+      pending selection anchored at these very positions: the stream is
+      every valid lane, and its scan keeps the lanes within ``r_keep``
+      as a pending selection (one int32 each) plus the anchor
+      positions.  No kept-lane buffer is built, so a list evaluated
+      once — a serve batch, a warmup — never builds more.
     * **Later evaluations** at other positions fill the kept-lane
-      buffers from that selection, once; then each step gathers, folds,
-      runs the pair kernel and scatters, block by block over the kept
+      buffers from that selection, once; then the stream is the kept
       lanes.  A drift guard re-anchors the panels (select and fill at
       the current positions) whenever a particle has moved far enough
-      that a pruned lane could re-enter the cutoff, so results stay
-      exact for arbitrary motion, not just small MD steps.
+      that a pruned lane could enter the cutoff, so results stay exact
+      for arbitrary motion, not just small MD steps.
 
-    Both paths group their sums as the reference's ``chunk_pairs``
-    chunks do (:func:`_finish`): forces scatter each chunk's i weights,
-    then its j weights, in one ``np.bincount`` per component, and energy
-    and virial add per-chunk sums of full-lane panels in chunk order.
-    A list within one chunk keeps one group.
+    Both run one block loop (:func:`_evaluate`): the pair kernel, the
+    force components and the scatter see only the lanes with
+    ``0 < r2 < r_cut**2``, and every sum is grouped as the reference's
+    ``chunk_pairs`` chunks group it (:func:`_finish`): forces scatter
+    each chunk's i weights, then its j weights, in one ``np.bincount``
+    per component, and energy and virial add per-chunk float64 sums of
+    the in-cutoff lanes in chunk order.
     """
     pos = plist.current_positions(system).astype(dtype)
     key = _panel_key(dtype, params, chunk_pairs)
     cp = panels.get(key) if panels is not None else None
     if cp is None or (cp.sel is not None and np.array_equal(pos, cp.anchor_pos)):
-        cp = _new_panels(plist, params, pos, chunk_pairs)
-        if panels is not None:
-            panels[key] = cp
-        return _first_evaluation(cp, system, plist, params, pos, panels)
+        if cp is None:
+            cp = _new_panels(plist, params, pos, chunk_pairs)
+            if panels is not None:
+                panels[key] = cp
+        lanes = valid_lanes(system, plist, panels)
+        return _evaluate(cp, system, plist, params, pos, lanes)
 
-    box_arr = plist.box.array.astype(dtype)
     margin = cp.r_keep - params.r_cut
-    if 4.0 * _drift2_max(pos, cp.anchor_pos, box_arr) > margin * margin:
+    if 4.0 * _drift2_max(pos, cp.anchor_pos, plist.box.array.astype(dtype)) > (
+        margin * margin
+    ):
         # A pruned lane may have drifted inside the cutoff: re-anchor the
         # panels at the current positions.  A pending selection is
         # superseded.
-        _select(cp, system, plist, pos, panels)
+        _select(cp, plist, pos, valid_lanes(system, plist, panels))
     if cp.sel is not None:
         _fill(cp, system, plist, params, panels)
-    return _steady(cp, system, plist, params, pos)
+    return _evaluate(cp, system, plist, params, pos)
 
 
 def compute_short_range_impl(

@@ -91,6 +91,12 @@ def compute_short_range(
 
     ``dtype`` selects the arithmetic precision: float64 is the reference,
     float32 models the paper's mixed-precision production path.
+
+    Energy and virial add, chunk by chunk, the float64 sum of the
+    chunk's in-cutoff lanes (``pair_force_energy``'s own cutoff mask) in
+    lane order; a lane outside the cutoff never enters a sum, so the
+    fast path (`repro.core.vectorized`), which evaluates only those
+    lanes, reduces over the same elements in the same tree.
     """
     box = plist.box
     pos = plist.current_positions(system).astype(dtype)
@@ -104,6 +110,7 @@ def compute_short_range(
     c12_tab = system.topology.c12_table.astype(dtype)
     box_arr = box.array.astype(dtype)
 
+    cut2 = np.dtype(dtype).type(params.r_cut) ** 2
     f_sorted = np.zeros((plist.n_slots, 3), dtype=np.float64)
     energy = 0.0
     virial = 0.0
@@ -127,9 +134,10 @@ def compute_short_range(
 
         f_scalar, e = pair_force_energy(r2, qq, c6, c12, params, mask=valid)
         n_in_cutoff += int(np.count_nonzero(f_scalar != 0))
-        energy += float(e.sum(dtype=np.float64))
+        inside = valid & (r2 < cut2) & (r2 > 0)
+        energy += float(e[inside].sum(dtype=np.float64))
         # W = sum F . dr = sum f_scalar * r^2 (F is along +dr for i).
-        virial += float((f_scalar.astype(np.float64) * r2).sum())
+        virial += float((f_scalar[inside].astype(np.float64) * r2[inside]).sum())
         fvec = (f_scalar[..., None] * dr).astype(np.float64)
 
         flat_i = slot_i.ravel()

@@ -6,8 +6,9 @@ the same forces, energy, write-cache counters, shuffle counts, and
 trace events as the scalar fidelity walk — to the bit, not to a
 tolerance.  The per-step pruned-lane path is pinned the same way
 against `compute_short_range` across coulomb modes, dtypes, lane-block
-boundaries, reference chunk sizes, first evaluations, deferred panel
-fills and drift-guard refreshes, and its memory is bounded by the
+boundaries, reference chunk sizes, prune margins, first evaluations,
+deferred panel fills and drift-guard refreshes; its pair kernel sees
+exactly the in-cutoff lanes, and its memory is bounded by the
 reference's.
 """
 
@@ -26,7 +27,6 @@ from repro.core.vectorized import (
     CompactPanels,
     _pair_terms_compact,
     _Scratch,
-    compact_panels,
     compute_short_range_impl,
     compute_short_range_vectorized,
     resolve_kernel_impl,
@@ -275,8 +275,9 @@ class TestPerStepPath:
 class TestChunkGrouping:
     """The reference's chunk grouping is observable, and the fast path
     reproduces it at every chunk size: on its first evaluation, on the
-    second one (which fills the panels at moved positions) and on a
-    drift-guard re-anchor."""
+    second one (which fills the panels at moved positions), on a
+    drift-guard re-anchor (which selects and fills again) and on the
+    step after it."""
 
     def test_reference_grouping_is_observable(self):
         system = build_water_system(600, seed=2019)
@@ -320,6 +321,163 @@ class TestChunkGrouping:
         system.positions += rng.normal(0.0, 0.06, system.positions.shape)
         step()
         assert not np.array_equal(cp.anchor_pos, anchor)
+        assert cp.sel is None
+        anchor = cp.anchor_pos.copy()
+        system.positions += rng.normal(0.0, 0.004, system.positions.shape)
+        step()
+        assert np.array_equal(cp.anchor_pos, anchor)
+
+
+def _in_cutoff_lanes(system, plist, params, dtype):
+    """Flat tile positions (lane order) of the valid lanes with
+    ``0 < r2 < r_cut**2``, and every lane's slots and ``r2``, from the
+    reference's tile layout (`tile_indices`, `tile_validity`)."""
+    pos = plist.current_positions(system).astype(dtype)
+    ci, cj = plist.pair_ci, plist.pair_cj
+    slot_i, slot_j = tile_indices(ci, cj)
+    mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
+    valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol).ravel()
+    slot_i, slot_j = slot_i.ravel(), slot_j.ravel()
+    box = plist.box.array.astype(dtype)
+    dr = pos[slot_i] - pos[slot_j]
+    dr -= box * np.round(dr / box)
+    r2 = np.sum(dr * dr, axis=-1)
+    inside = valid & (r2 < dtype(params.r_cut) ** 2) & (r2 > 0)
+    return np.flatnonzero(inside), slot_i, slot_j, r2
+
+
+class TestInCutoffLanes:
+    """The pair kernel sees exactly the in-cutoff lanes on every kind of
+    evaluation, and energy and virial are the float64 sums of those
+    lanes per reference chunk, whatever the prune margin."""
+
+    @pytest.mark.parametrize("chunk_pairs", [257, 65536])
+    @pytest.mark.parametrize("half", [True, False])
+    def test_kernel_sees_only_in_cutoff_lanes(
+        self, monkeypatch, half, chunk_pairs
+    ):
+        seen = []
+        kernel = vectorized._pair_terms_compact
+
+        def counting(r2, *args):
+            seen.append(len(r2))
+            return kernel(r2, *args)
+
+        monkeypatch.setattr(vectorized, "_pair_terms_compact", counting)
+        system = build_water_system(600, seed=2019)
+        params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
+        plist = build_pair_list(system, params.r_list, half=half)
+        rng = np.random.default_rng(19)
+        panels = {}
+        # first evaluation, fill, steady, drift-guard re-anchor
+        for kind, scale in (
+            ("first", 0.0), ("fill", 0.002), ("steady", 0.002),
+            ("re-anchor", 0.06),
+        ):
+            system.positions += rng.normal(0.0, scale, system.positions.shape)
+            before = _panels_of(panels) if panels else None
+            state = (
+                None if before is None
+                else (before.sel is not None, before.anchor_pos.copy())
+            )
+            seen.clear()
+            compute_short_range_vectorized(
+                system, plist, params, dtype=np.float32,
+                chunk_pairs=chunk_pairs, panels=panels,
+            )
+            cp = _panels_of(panels)
+            if kind == "fill":
+                assert state[0] and cp.sel is None
+            elif kind == "steady":
+                assert cp.sel is None
+                assert np.array_equal(cp.anchor_pos, state[1])
+            elif kind == "re-anchor":
+                assert cp.sel is None
+                assert not np.array_equal(cp.anchor_pos, state[1])
+            want, *_ = _in_cutoff_lanes(system, plist, params, np.float32)
+            assert sum(seen) == len(want) > 0, kind
+
+    @pytest.mark.parametrize("chunk_pairs", [5000, 65536])
+    @pytest.mark.parametrize("half", [True, False])
+    @pytest.mark.parametrize("mode", ["rf", "ewald"])
+    def test_energy_virial_sum_in_cutoff_lanes(self, mode, half, chunk_pairs):
+        dtype = np.float64
+        system = build_water_system(600, seed=2019)
+        params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode=mode)
+        plist = build_pair_list(system, params.r_list, half=half)
+        rng = np.random.default_rng(31)
+        panels = {}
+        topo = system.topology
+        q = plist.gather(system.charges).astype(dtype)
+        types = plist.gather(topo.type_ids, fill=0).astype(np.int64)
+        for _ in range(3):  # first evaluation, fill, steady
+            lane, slot_i, slot_j, r2 = _in_cutoff_lanes(
+                system, plist, params, dtype
+            )
+            si, sj, r2 = slot_i[lane], slot_j[lane], r2[lane]
+            f, e = pair_force_energy(
+                r2, q[si] * q[sj],
+                topo.c6_table.astype(dtype)[types[si], types[sj]],
+                topo.c12_table.astype(dtype)[types[si], types[sj]],
+                params,
+            )
+            n_chunks = -(-plist.n_cluster_pairs // chunk_pairs)
+            ends = np.searchsorted(
+                lane // (16 * chunk_pairs), np.arange(n_chunks + 1)
+            )
+            energy = virial = 0.0
+            for a, z in zip(ends[:-1], ends[1:]):
+                energy += float(e[a:z].sum(dtype=np.float64))
+                virial += float((f[a:z].astype(np.float64) * r2[a:z]).sum())
+            if not half:
+                energy *= 0.5
+                virial *= 0.5
+            for res in (
+                compute_short_range(
+                    system, plist, params, dtype=dtype,
+                    chunk_pairs=chunk_pairs,
+                ),
+                compute_short_range_vectorized(
+                    system, plist, params, dtype=dtype,
+                    chunk_pairs=chunk_pairs, panels=panels,
+                ),
+            ):
+                assert res.energy == energy
+                assert res.virial == virial
+            system.positions += rng.normal(0.0, 0.002, system.positions.shape)
+
+    @pytest.mark.parametrize("half", [True, False])
+    def test_prune_margin_changes_no_bit(self, monkeypatch, half):
+        runs = []
+        for margin in (0.05, 0.4):
+            monkeypatch.setattr(vectorized, "PRUNE_MARGIN", margin)
+            system = build_water_system(600, seed=2019)
+            params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
+            plist = build_pair_list(system, params.r_list, half=half)
+            rng = np.random.default_rng(37)
+            panels, results, anchors = {}, [], []
+            # first evaluation, fill, steady, drift-guard re-anchor
+            for scale in (0.0, 0.002, 0.002, 0.12):
+                system.positions += rng.normal(
+                    0.0, scale, system.positions.shape
+                )
+                res = compute_short_range_vectorized(
+                    system, plist, params, dtype=np.float32, panels=panels
+                )
+                _bit_equal(
+                    compute_short_range(
+                        system, plist, params, dtype=np.float32
+                    ),
+                    res,
+                )
+                results.append(res)
+                anchors.append(_panels_of(panels).anchor_pos.copy())
+            assert _panels_of(panels).r_keep == params.r_cut + margin
+            assert np.array_equal(anchors[0], anchors[2])
+            assert not np.array_equal(anchors[2], anchors[3])
+            runs.append(results)
+        for a, b in zip(*runs):
+            _bit_equal(a, b)
 
 
 class TestBoundaryCrossing:
@@ -370,32 +528,29 @@ class TestDeferredFill:
         system = build_water_system(600, seed=2019)
         plist = build_pair_list(system, params.r_list, half=half)
         p1 = system.positions.copy()
-        want = compact_panels(
-            system, plist, params, dtype=np.float32, chunk_pairs=chunk_pairs
-        )
 
-        panels = {}
-        compute_short_range_vectorized(
-            system, plist, params, dtype=np.float32, chunk_pairs=chunk_pairs,
-            panels=panels,
-        )
-        system.positions = p1 + np.random.default_rng(3).normal(
-            0.0, 0.004, p1.shape
-        )
-        compute_short_range_vectorized(
-            system, plist, params, dtype=np.float32, chunk_pairs=chunk_pairs,
-            panels=panels,
-        )
-        got = _panels_of(panels)
-        k = want.n_kept
-        assert got.n_kept == k
+        def filled(noise_seed):
+            # Two memos whose second evaluations move by different noise.
+            panels = {}
+            for noise in (0.0, 0.004):
+                system.positions = p1 + np.random.default_rng(
+                    noise_seed
+                ).normal(0.0, noise, p1.shape)
+                compute_short_range_vectorized(
+                    system, plist, params, dtype=np.float32,
+                    chunk_pairs=chunk_pairs, panels=panels,
+                )
+            return _panels_of(panels)
+
+        want, got = filled(3), filled(4)
+        assert want.sel is None and got.sel is None
+        assert got.n_kept == want.n_kept
         assert np.array_equal(got.anchor_pos, want.anchor_pos)
-        assert np.array_equal(
-            got.bufs["lane_sel"][:k], want.bufs["lane_sel"][:k]
-        )
         assert got.segs == want.segs
+        assert len(got.segs) == -(-plist.n_cluster_pairs // chunk_pairs)
         assert np.array_equal(got.idx_i, want.idx_i)
         assert np.array_equal(got.idx_j, want.idx_j)
+        assert np.array_equal(got.c6, want.c6)
 
     def test_same_positions_fill_nothing(self):
         params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
@@ -411,8 +566,11 @@ class TestDeferredFill:
 class TestOneShotLists:
     """A minimiser list fills its kept-lane buffers at most once, on its
     second evaluation: the first leaves a pending selection, and the
-    list is rebuilt before the drift guard could re-anchor.  (Serve's
-    one-shot lists never fill them: `tests/serve/test_jobs.py`.)"""
+    list is rebuilt once ``2*max_move`` passes ``r_list - r_cut``, the
+    displacement at which the drift guard (``2*max_move >
+    PRUNE_MARGIN``, both 0.1 nm here) would re-anchor, up to rounding.
+    (Serve's one-shot lists never fill them:
+    `tests/serve/test_jobs.py`.)"""
 
     def test_minimiser_lists_fill_once_on_second_evaluation(
         self, monkeypatch
@@ -446,22 +604,43 @@ class TestOneShotLists:
         assert sorted(key for key, _ in fills) == sorted(reused)
 
 
+def _filled_panels(system, plist, params, dtype, panels=None):
+    """Panels filled through the memo: a first evaluation, then one at
+    moved positions (the positions are restored after)."""
+    panels = {} if panels is None else panels
+    start = system.positions.copy()
+    compute_short_range_vectorized(
+        system, plist, params, dtype=dtype, panels=panels
+    )
+    system.positions = start + np.random.default_rng(23).normal(
+        0.0, 0.002, start.shape
+    )
+    compute_short_range_vectorized(
+        system, plist, params, dtype=dtype, panels=panels
+    )
+    system.positions = start
+    cp = _panels_of(panels)
+    assert cp.bufs and cp.sel is None
+    return cp
+
+
 class TestPairTermsCompact:
     """The fused in-place pair kernel vs `pair_force_energy`, lane for
-    lane on the real compact panels plus randomised r2."""
+    lane on the real compact panels plus randomised in-cutoff r2."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", COULOMB_MODES)
-    def test_bitwise_equal(self, water, mode, dtype):
+    def test_bitwise_equal(self, mode, dtype):
+        water = build_water_system(600, seed=2019)
         params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode=mode)
         plist = build_pair_list(water, params.r_list)
-        cp = compact_panels(water, plist, params, dtype=dtype)
+        cp = _filled_panels(water, plist, params, dtype)
         k = cp.n_kept
         rng = np.random.default_rng(11)
-        # Random r2 spanning in-cutoff, out-of-cutoff and exact-zero
-        # (overlapping padding) lanes.
-        r2 = (rng.uniform(0.0, 1.3 * params.r_cut**2, k)).astype(dtype)
-        r2[:: max(k // 17, 1)] = dtype(0.0)
+        # The kernel only sees lanes with 0 < r2 < r_cut**2.
+        cut2 = dtype(params.r_cut) ** 2
+        r2 = rng.uniform(0.0, params.r_cut**2, k).astype(dtype)
+        r2 = np.where((r2 > 0) & (r2 < cut2), r2, dtype(0.5) * cut2)
         # The panels keep felec*qq only; the reference takes the raw
         # charge products the tiles form.
         q = plist.gather(water.charges).astype(dtype)
@@ -469,23 +648,28 @@ class TestPairTermsCompact:
         ref_f, ref_e = pair_force_energy(
             r2, qq, cp.c6.copy(), cp.c12.copy(), params
         )
-        f, e = _pair_terms_compact(r2, cp.bufs, 0, _Scratch(k, dtype), params)
+        f, e = _pair_terms_compact(r2, cp.bufs, _Scratch(k, dtype), params)
         assert np.array_equal(f, ref_f)
         assert np.array_equal(e, ref_e)
 
-    def test_masked_lanes_warning_free(self, water):
+    def test_masked_lanes_warning_free(self):
+        """Padding slots and two atoms of different molecules at one
+        point (``r2 == 0`` on a valid lane) never reach the kernel's
+        division: a first evaluation emits no RuntimeWarning."""
+        system = build_water_system(600, seed=2019)
         params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
-        plist = build_pair_list(water, params.r_list)
-        cp = compact_panels(water, plist, params, dtype=np.float32)
-        k = cp.n_kept
-        r2 = np.zeros(k, dtype=np.float32)  # every lane an overlapping self-pair
+        mol = system.topology.mol_ids
+        other = int(np.flatnonzero(mol != mol[0])[0])
+        system.positions[other] = system.positions[0]
+        plist = build_pair_list(system, params.r_list)
+        assert not plist.real.all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, e = _pair_terms_compact(
-                r2, cp.bufs, 0, _Scratch(k, np.float32), params
+            res = compute_short_range_vectorized(
+                system, plist, params, dtype=np.float32, panels={}
             )
-        assert not f.any()
-        assert not e.any()
+            ref = compute_short_range(system, plist, params, dtype=np.float32)
+        _bit_equal(ref, res)
 
 
 def _assert_same_step(system, plist, params, dtype, panels):
@@ -529,18 +713,15 @@ class TestLaneBlocks:
         )
         panels = {}
         _assert_same_step(system, plist, params, dtype, panels)
-        cp = compact_panels(system, plist, params, dtype=dtype, panels=panels)
+        cp = _filled_panels(system, plist, params, dtype, panels)
         cap = cp.cap
-        system.positions = lattice.copy()
-        _assert_same_step(system, plist, params, dtype, panels)
-        assert (
-            compact_panels(system, plist, params, dtype=dtype, panels=panels)
-            is cp
-        )
+        # Back to the lattice: the drift guard re-anchors and fills past
+        # the capacity; then small drift is served from those panels.
+        for noise in (0.0, 0.004):
+            system.positions = lattice + rng.normal(0.0, noise, lattice.shape)
+            _assert_same_step(system, plist, params, dtype, panels)
+        assert _panels_of(panels) is cp
         assert cp.n_kept > cap
-        # Small drift: served from the re-anchored panels.
-        system.positions = lattice + rng.normal(0.0, 0.004, lattice.shape)
-        _assert_same_step(system, plist, params, dtype, panels)
 
 
 class TestValidLanes:
@@ -598,7 +779,10 @@ class TestPanelMemory:
     @pytest.mark.parametrize(
         "case", ["water-float32", "ionic-pme-float64", "water-n3000-float32"]
     )
-    def test_first_call_bounded_by_reference(self, case):
+    def test_first_call_bounded_by_reference(self, case, monkeypatch):
+        # tracemalloc sees numpy's allocations, not anonymous mappings:
+        # count the first evaluation's mapped outputs as allocated.
+        monkeypatch.setattr(vectorized, "_mapped", np.empty)
         if case.startswith("water"):
             n = 3000 if "n3000" in case else 900
             system = build_water_system(n, seed=2019)
@@ -630,13 +814,19 @@ class TestPanelMemory:
         system.positions += np.random.default_rng(1).normal(
             0.0, 0.002, system.positions.shape
         )
-        fill_peak, _ = _traced(evaluate)
-        assert _panels_of(panels).bufs
-        _, freed = _traced(panels.clear)
+        # tracemalloc counts only blocks allocated while it traces, so
+        # what the fill keeps is what this call leaves allocated.
+        fill_peak, filled = _traced(evaluate)
+        cp = _panels_of(panels)
+        assert cp.bufs
+        # No filled-panel array is sized by the full tile lanes.
+        full = plist.n_cluster_pairs * 16
+        arrays = [*cp.bufs.values(), cp.f_sorted, cp.anchor_pos]
+        assert all(full not in a.shape for a in arrays)
         assert first_peak <= 1.25 * ref_peak, (first_peak, ref_peak)
         assert fill_peak <= 1.25 * ref_peak, (fill_peak, ref_peak)
         assert pending <= ref_peak, (pending, ref_peak)
-        assert -freed <= ref_peak, (-freed, ref_peak)
+        assert 0 < filled <= ref_peak, (filled, ref_peak)
 
 
 class TestMaskedLaneWarnings:
