@@ -49,6 +49,27 @@ class WriteTraceStats:
     def seconds(self, params: ChipParams = DEFAULT_PARAMS) -> float:
         return (self.puts + self.gets) * transfer_seconds(self.line_bytes, params)
 
+    @classmethod
+    def from_counts(
+        cls,
+        accesses: int,
+        misses: int,
+        lines: int,
+        params: ChipParams = DEFAULT_PARAMS,
+        use_mark: bool = True,
+    ) -> "WriteTraceStats":
+        """The accounting of a trace with ``accesses`` accesses,
+        ``misses`` direct-mapped misses and ``lines`` distinct lines
+        (the identities of :func:`analyze_write_trace`)."""
+        return cls(
+            accesses=accesses,
+            misses=misses,
+            first_touches=lines if use_mark else 0,
+            puts=misses,
+            gets=misses - lines if use_mark else misses,
+            line_bytes=params.particles_per_line * params.force_bytes_per_particle,
+        )
+
 
 class DeferredUpdateCache:
     """Write-back force cache for one CPE (Fig. 4 / Algorithm 3).
@@ -224,19 +245,6 @@ def analyze_write_trace(
     """
     trace = np.asarray(package_trace, dtype=np.int64)
     amap = AddressMap(params.index_bits, params.offset_bits)
-    if len(trace) == 0:
-        line_bytes = params.particles_per_line * params.force_bytes_per_particle
-        return WriteTraceStats(0, 0, 0, 0, 0, line_bytes)
     misses = count_misses_direct_mapped(trace, amap)
-    lines = trace >> amap.offset_bits
-    first_touches = len(np.unique(lines))
-    gets = misses - first_touches if use_mark else misses
-    line_bytes = params.particles_per_line * params.force_bytes_per_particle
-    return WriteTraceStats(
-        accesses=len(trace),
-        misses=misses,
-        first_touches=first_touches if use_mark else 0,
-        puts=misses,
-        gets=gets,
-        line_bytes=line_bytes,
-    )
+    lines = len(np.unique(trace >> amap.offset_bits))
+    return WriteTraceStats.from_counts(len(trace), misses, lines, params, use_mark)

@@ -107,8 +107,8 @@ class EngineConfig:
     resilience: ResiliencePolicy = field(default_factory=ResiliencePolicy)
     #: Host-parallel execution backend (DESIGN.md §9): "serial", "pool",
     #: or None for ``REPRO_BACKEND``-or-serial.  Fans the pair-list exact
-    #: filter and the per-CPE trace analyses over real worker processes;
-    #: results are bit-identical either way.
+    #: filter over real worker processes; results are bit-identical
+    #: either way.
     backend: str | None = None
     #: Worker count for the pool backend (None = ``REPRO_WORKERS`` or
     #: host CPU count).
@@ -373,7 +373,6 @@ class SWGromacsEngine(MdDriver):
             chip,
             tracer=self.tracer,
             cache=self.stepcache,
-            backend=self.backend,
         )
         self._cached_ns_seconds = self._ns_seconds(chip)
         self._add(timing, KERNEL_NEIGHBOR, self._cached_ns_seconds)

@@ -73,20 +73,18 @@ class ReadCachedFetcher:
 
 def analyze_read_trace(
     package_trace: np.ndarray,
-    packed: PackedParticles | int,
+    packed: PackedParticles,
     params: ChipParams = DEFAULT_PARAMS,
 ) -> ReadTraceStats:
     """Vectorised equivalent of running the trace through the fetcher.
 
     Per-set miss counting via the sorted-trace tag-change trick (see
-    `repro.hw.cache.count_misses_direct_mapped`).  ``packed`` may be the
-    packed arrays or just their ``data_line_bytes`` — worker processes in
-    the parallel backend ship the integer instead of the arrays.
+    `repro.hw.cache.count_misses_direct_mapped`).
     """
     trace = np.asarray(package_trace, dtype=np.int64)
     amap = AddressMap(params.index_bits, params.offset_bits)
     misses = count_misses_direct_mapped(trace, amap)
-    line_bytes = packed if isinstance(packed, int) else packed.data_line_bytes
+    line_bytes = packed.data_line_bytes
     return ReadTraceStats(
         accesses=len(trace),
         misses=misses,

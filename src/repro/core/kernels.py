@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.deferred import DeferredUpdateCache
+from repro.core.deferred import DeferredUpdateCache, WriteTraceStats
 from repro.core.fetch import sequential_stream_lines, uncached_read_seconds
 from repro.core.packing import Layout, PackedParticles
 from repro.core.reduction import init_cost, reduce_copies, reduction_cost
@@ -191,7 +191,6 @@ def run_kernel(
     check_ldm: bool = True,
     tracer: NullTracer = NULL_TRACER,
     cache: StepCache | NullStepCache | None = None,
-    backend: ExecutionBackend | None = None,
 ) -> KernelResult:
     """Execute one strategy (fast path): vectorised functional forces +
     trace-driven cost model.
@@ -199,14 +198,8 @@ def run_kernel(
     The functional force evaluation runs the impl ``REPRO_KERNEL``
     selects (`repro.core.vectorized.compute_short_range_impl`).  Results
     are bit-identical either way — the cost model never sees the
-    difference.
-
-    ``backend`` (DESIGN.md §9) fans the per-CPE trace analyses across
-    worker processes by priming ``cache`` before the serial accumulation
-    loops below; every primed value is bit-identical to what the loop
-    would compute, so results do not depend on the backend.  ``None``
-    keeps the historical fully-inline path — callers that want env-var
-    selection resolve it themselves (`repro.parallel.pool.shared_backend`).
+    difference.  The per-CPE trace analyses come from the cache's
+    whole-list `TraceCounts` and are summed here in CPE order.
 
     ``check_ldm`` plans the kernel's LDM layout up front and raises
     :class:`~repro.hw.ldm.LdmOverflowError` when the configured cache
@@ -214,7 +207,7 @@ def run_kernel(
     launch would hit.  Disable only for hypothetical-geometry studies.
 
     ``cache`` is the step-reuse layer (DESIGN.md §8): the functional half
-    of the kernel (forces, packing, partitions, trace analysis) is routed
+    of the kernel (forces, partitions, trace analysis) is routed
     through it, so rungs sharing a cache share one `compute_short_range`
     per (work list, positions) and all list-topology analysis.  With the
     default (a throwaway `StepCache`) every lookup is a miss and the
@@ -234,10 +227,6 @@ def run_kernel(
     if cache is None:
         cache = StepCache()
     work_list = cache.full_list(plist) if spec.full_list else plist
-    packed = cache.packed(
-        system, plist, Layout.SOA if spec.simd else Layout.AOS, params
-    )
-
     sr = cache.short_range(system, work_list, nb_params, dtype=np.float32)
     m_pairs = work_list.n_cluster_pairs
     tile_pairs = 16 * m_pairs
@@ -272,19 +261,8 @@ def run_kernel(
 
     # ---- partition across CPEs -------------------------------------------
     parts = cache.partitions(work_list, params.n_cpes)
-    if backend is not None and getattr(backend, "parallel", False):
-        cache.prime_partition_stats(
-            work_list,
-            params.n_cpes,
-            packed,
-            params,
-            read=spec.read_cache,
-            write=spec.write_cache,
-            use_mark=spec.mark,
-            touched=not (spec.full_list or spec.mpe_collect),
-            backend=backend,
-        )
-    pair_counts = cache.pair_counts(work_list, params.n_cpes)
+    counts = cache.trace_counts(work_list, params)
+    pair_counts = counts.pairs
     crit_pairs = int(pair_counts.max()) if len(pair_counts) else 0
     stats["imbalance"] = (
         float(crit_pairs / pair_counts.mean()) if pair_counts.mean() > 0 else 1.0
@@ -299,13 +277,14 @@ def run_kernel(
     read_bytes = 0
     read_misses = 0
     read_accesses = 0
+    line_bytes = params.line_bytes
     if spec.read_cache:
-        for lo, hi in parts:
-            rstats = cache.read_trace_stats(work_list, lo, hi, packed, params)
-            read_seconds += rstats.seconds
-            read_bytes += rstats.bytes_fetched
-            read_misses += rstats.misses
-            read_accesses += rstats.accesses
+        line_seconds = transfer_seconds(line_bytes, params)
+        for misses, accesses in zip(*(a.tolist() for a in counts.read)):
+            read_seconds += misses * line_seconds
+            read_bytes += misses * line_bytes
+            read_misses += misses
+            read_accesses += accesses
         # i-cluster packages stream sequentially, one line per 8 packages.
         # Each CPE streams its *own* contiguous cluster range, so the line
         # count ceils per partition (a global ceil undercounted up to
@@ -314,8 +293,8 @@ def run_kernel(
             sequential_stream_lines(lo, hi, params.packages_per_line)
             for lo, hi in parts
         )
-        read_seconds += i_lines * transfer_seconds(packed.data_line_bytes, params)
-        read_bytes += i_lines * packed.data_line_bytes
+        read_seconds += i_lines * transfer_seconds(line_bytes, params)
+        read_bytes += i_lines * line_bytes
         stats["read_miss_ratio"] = read_misses / max(read_accesses, 1)
         stats["i_lines"] = float(i_lines)
     elif not spec.packaged:
@@ -353,17 +332,15 @@ def run_kernel(
     write_misses = 0
     write_accesses = 0
     if spec.write_cache:
-        for lo, hi in parts:
-            wstats = cache.write_trace_stats(
-                work_list, lo, hi, params, use_mark=spec.mark
+        for misses, accesses, lines in zip(*(a.tolist() for a in counts.write)):
+            wstats = WriteTraceStats.from_counts(
+                accesses, misses, lines, params, use_mark=spec.mark
             )
             write_seconds += wstats.seconds(params)
             write_bytes += wstats.bytes_moved
-            write_misses += wstats.misses
-            write_accesses += wstats.accesses
-            touched_lines_per_cpe.append(
-                cache.touched_lines(work_list, lo, hi, params)
-            )
+            write_misses += misses
+            write_accesses += accesses
+            touched_lines_per_cpe.append(lines)
         stats["write_miss_ratio"] = write_misses / max(write_accesses, 1)
     elif spec.full_list:
         # RCA: each CPE owns its i-clusters outright; accumulate FA in LDM
@@ -387,10 +364,7 @@ def run_kernel(
             * params.cycle_s
         )
         write_bytes = n_ops * 2 * 4  # one 4 B load + one 4 B store per op
-        for lo, hi in parts:
-            touched_lines_per_cpe.append(
-                cache.touched_lines(work_list, lo, hi, params)
-            )
+        touched_lines_per_cpe = counts.write[2].tolist()
     else:
         # Pkg rung: without the deferred-update cache, each i-row of the
         # tile read-modify-writes the j force package in the CPE's main
@@ -399,10 +373,7 @@ def run_kernel(
         n_writes = 2 * CLUSTER_SIZE * m_pairs + n_i_clusters_total
         write_seconds = n_writes * transfer_seconds(FORCE_PACKAGE_BYTES, params)
         write_bytes = n_writes * FORCE_PACKAGE_BYTES
-        for lo, hi in parts:
-            touched_lines_per_cpe.append(
-                cache.touched_lines(work_list, lo, hi, params)
-            )
+        touched_lines_per_cpe = counts.write[2].tolist()
     breakdown["write_dma"] = write_seconds
     # Byte totals per DMA phase: the resilience layer replays this
     # traffic through a fault-injecting DmaEngine to charge retry
@@ -521,7 +492,6 @@ def run_strategy_sweep(
     check_ldm: bool = True,
     tracer: NullTracer = NULL_TRACER,
     cache: StepCache | NullStepCache | None = None,
-    backend: str | ExecutionBackend | None = None,
 ) -> dict[str, KernelResult]:
     """Evaluate many strategy rungs against ONE ``(system state, pair
     list)`` — the one-pass ablation API used by bench_fig8/fig9, the
@@ -530,25 +500,18 @@ def run_strategy_sweep(
     All rungs share a single :class:`~repro.core.stepcache.StepCache`, so
     the functional forces are computed exactly once per work list (the
     half list, plus the mirrored full list iff an RCA-style spec is in the
-    sweep), packing is built once per layout, and every trace analysis is
-    memoised.  Results are bit-identical to calling :func:`run_kernel`
-    individually per spec (test-enforced).
+    sweep) and every trace analysis is memoised.  Results are
+    bit-identical to calling :func:`run_kernel` individually per spec
+    (test-enforced).
 
     ``specs`` accepts :class:`KernelSpec` objects or names from
     :data:`ALL_SPECS`; the returned dict is keyed by spec name in input
     order.  Pass an explicit ``cache`` to extend sharing across calls
     (e.g. across steps of a pair-list interval); the caller then owns
     invalidation.
-
-    ``backend`` selects the execution backend for the per-CPE trace
-    analyses (a name, an `ExecutionBackend`, or None for
-    ``REPRO_BACKEND``-or-serial); the rungs themselves stay in-process so
-    they keep sharing one `StepCache` — parallelism primes that cache,
-    it never forks the physics.
     """
     if cache is None:
         cache = StepCache()
-    backend = shared_backend(backend)
     resolved = [ALL_SPECS[s] if isinstance(s, str) else s for s in specs]
     return {
         spec.name: run_kernel(
@@ -560,7 +523,6 @@ def run_strategy_sweep(
             check_ldm=check_ldm,
             tracer=tracer,
             cache=cache,
-            backend=backend,
         )
         for spec in resolved
     }
@@ -762,10 +724,7 @@ def run_kernel_sequential(
 
     backend = shared_backend(backend)
     if not (spec.write_cache and spec.use_cpes):
-        return run_kernel(
-            system, plist, nb_params, spec, params, tracer=tracer,
-            backend=backend,
-        )
+        return run_kernel(system, plist, nb_params, spec, params, tracer=tracer)
     impl = resolve_kernel_impl()
     n_cpes = n_cpes or params.n_cpes
     work_list = plist.to_full() if spec.full_list else plist
@@ -844,7 +803,7 @@ def run_kernel_sequential(
     # instrumentation: passing the live tracer here used to re-emit every
     # kernel span on top of the fidelity events above, so Chrome traces
     # showed each kernel twice.
-    fast = run_kernel(system, plist, nb_params, spec, params, backend=backend)
+    fast = run_kernel(system, plist, nb_params, spec, params)
     return KernelResult(
         name=spec.name + "(seq)",
         forces=forces,

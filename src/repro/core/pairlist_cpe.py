@@ -19,7 +19,8 @@ Two pieces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,9 +108,17 @@ def search_trace(
 
 @dataclass
 class CacheStudyResult:
-    direct_miss_ratio: float
     two_way_miss_ratio: float
     accesses: int
+    trace: np.ndarray = field(repr=False, compare=False)
+    amap: AddressMap = field(repr=False, compare=False)
+
+    @cached_property
+    def direct_miss_ratio(self) -> float:
+        """The direct-mapped miss ratio, counted when first read (the
+        engine's model reads only the two-way one)."""
+        misses = count_misses_direct_mapped(self.trace, self.amap)
+        return misses / max(self.accesses, 1)
 
 
 def cache_study(
@@ -122,16 +131,16 @@ def cache_study(
     against.  (The two-way count used to walk the trace through
     `TwoWaySetAssociativeCache.access` one package at a time — at ~150k
     accesses per engine rebuild that Python loop dominated the
-    neighbour-search model.)
+    neighbour-search model.)  The two-way count runs here; the
+    direct-mapped one only if its ratio is read.
     """
     amap = AddressMap(params.index_bits, params.offset_bits)
-    direct_misses = count_misses_direct_mapped(trace, amap)
-    two_way_misses = count_misses_two_way(trace, amap)
     n = len(trace)
     return CacheStudyResult(
-        direct_miss_ratio=direct_misses / max(n, 1),
-        two_way_miss_ratio=two_way_misses / max(n, 1),
+        two_way_miss_ratio=count_misses_two_way(trace, amap) / max(n, 1),
         accesses=n,
+        trace=trace,
+        amap=amap,
     )
 
 

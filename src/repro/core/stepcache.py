@@ -7,17 +7,18 @@ rebuild, not once per step (Páll et al. 2015, 2020).  This module gives
 the reproduction the same lever, at two scopes:
 
 * **list-state scope** (valid while positions are unchanged): the
-  functional short-range result (`ShortRangeResult`) and the packed
-  particle arrays (`PackedParticles`).  Every strategy kernel in
-  `repro.core.kernels` computes identical physics — only the cost model
-  differs — so a Fig. 8/9 ablation sweep over N rungs needs ONE
-  `compute_short_range` evaluation per list state, not N.  Entries are
-  keyed on a position fingerprint (BLAKE2 over the raw coordinate
+  functional short-range result (`ShortRangeResult`).  Every strategy
+  kernel in `repro.core.kernels` computes identical physics — only the
+  cost model differs — so a Fig. 8/9 ablation sweep over N rungs needs
+  ONE `compute_short_range` evaluation per list state, not N.  Entries
+  are keyed on a position fingerprint (BLAKE2 over the raw coordinate
   bytes), so any position change is a guaranteed miss — reuse can never
   alter the physics, which keeps the repo's bit-identity invariant.
-* **list-topology scope** (valid until the list is rebuilt): per-CPE
-  partitions, write traces, read/write trace-analysis statistics, and
-  touched-line counts.  These depend only on the cluster-pair structure,
+* **list-topology scope** (valid until the list is rebuilt): the
+  mirrored full list, per-CPE partitions, and one :class:`TraceCounts`
+  per chip params: every CPE's pair count and its read and write
+  cache-trace counts, each kind from one segmented pass over the whole
+  list.  These depend only on the cluster-pair structure,
   never on positions, so steps ``2..nstlist`` of each interval skip
   trace analysis entirely.
 
@@ -27,8 +28,14 @@ vectorized kernel's lane panels — lives in that list's
 :class:`ListMemo`, and the cache keeps every memo until
 :meth:`StepCache.invalidate`.  `SWGromacsEngine` and `MdLoop` invalidate
 before every pair-list build and on checkpoint :meth:`restore`; the
-resident serve tier invalidates on eviction.
-:meth:`StepCache.release_panels` drops only the lane panels.
+resident serve tier invalidates on eviction, dropping the cache with
+the entry.  Invalidation keeps one thing of the dead lists: their
+kept-lane buffer sets go into the cache's *pool*, where the next list's
+first evaluation borrows one for its outputs and its fill takes one, so
+a rebuild does not fault in fresh buffers
+(`repro.core.vectorized.retire_panels`).  Buffers enter the pool only
+there, when no list is alive, so two live lists never share one.
+:meth:`StepCache.release_panels` drops the lane panels and the pool.
 Position-keyed entries keep only the *latest* fingerprint per key, so a
 long MD run cannot grow a memo.
 """
@@ -37,14 +44,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.deferred import WriteTraceStats, analyze_write_trace
-from repro.core.fetch import ReadTraceStats, analyze_read_trace
-from repro.core.packing import Layout, PackedParticles
-from repro.hw.cache import AddressMap
-from repro.hw.params import ChipParams, DEFAULT_PARAMS
+from repro.hw.cache import (
+    AddressMap,
+    segment_distinct_lines,
+    segment_misses_direct_mapped,
+)
+from repro.hw.params import ChipParams
 from repro.md.forces import ShortRangeResult
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import ClusterPairList
@@ -84,45 +93,52 @@ def write_trace_for_range(
     return np.insert(js, insert_at, i_vals)
 
 
-@dataclass(frozen=True)
-class _PartitionStatsTask:
-    """Picklable per-CPE trace-analysis work unit for the parallel backend.
+class TraceCounts:
+    """Per-CPE cache-trace counts of one pair list under one chip
+    geometry, CPE ``c`` owning i-clusters ``parts[c]``.
 
-    Carries the partition's trace *slices* (small, pair-list-sized) plus
-    the scalar geometry facts the analyses need — never the particle
-    arrays, which the analyses provably do not read.
+    Each kind is one segmented pass over the whole list, computed when
+    first read: the CPEs' traces, laid end to end, are one whole-list
+    trace, and `repro.hw.cache`'s segment counters give each CPE's count
+    exactly as a call on its own trace would (`run_kernel` sums them in
+    CPE order).  int64 arrays, one entry per CPE.
     """
 
-    lo: int
-    hi: int
-    params: ChipParams
-    read_trace: np.ndarray | None  # j-package trace, None if read stats unneeded
-    write_trace: np.ndarray | None  # force-update trace, None if unneeded
-    data_line_bytes: int
-    use_mark: bool
-    want_write: bool
-    want_touched: bool
+    def __init__(
+        self, plist: ClusterPairList, parts: list[tuple[int, int]], params: ChipParams
+    ) -> None:
+        self._plist = plist
+        self._amap = AddressMap(params.index_bits, params.offset_bits)
+        starts = plist.i_starts[[lo for lo, _ in parts] + [parts[-1][1]]]
+        #: Cluster pairs per CPE: its j-package trace's length.
+        self.pairs = np.diff(starts)
+        #: i-clusters per CPE.
+        self.clusters = np.array([hi - lo for lo, hi in parts], dtype=np.int64)
 
+    @cached_property
+    def read(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(misses, accesses)`` of each CPE's j-package trace
+        (its slice of ``pair_cj``) through the direct-mapped read
+        cache."""
+        trace = self._plist.pair_cj
+        return (
+            segment_misses_direct_mapped(trace, self.pairs, self._amap),
+            self.pairs,
+        )
 
-def _partition_stats_job(
-    task: _PartitionStatsTask,
-) -> tuple[ReadTraceStats | None, WriteTraceStats | None, int | None]:
-    """Run one CPE partition's trace analyses (pure; runs in any process)."""
-    rstats = None
-    if task.read_trace is not None:
-        rstats = analyze_read_trace(
-            task.read_trace, task.data_line_bytes, task.params
+    @cached_property
+    def write(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(misses, accesses, lines)`` of each CPE's force-update
+        trace (`write_trace_for_range`): direct-mapped misses, length
+        and distinct lines touched."""
+        plist = self._plist
+        trace = write_trace_for_range(plist, 0, plist.n_clusters)
+        lengths = self.pairs + self.clusters
+        return (
+            segment_misses_direct_mapped(trace, lengths, self._amap),
+            lengths,
+            segment_distinct_lines(trace, lengths, self._amap),
         )
-    wstats = None
-    if task.want_write:
-        wstats = analyze_write_trace(
-            task.write_trace, task.params, use_mark=task.use_mark
-        )
-    tlines = None
-    if task.want_touched:
-        amap = AddressMap(task.params.index_bits, task.params.offset_bits)
-        tlines = int(len(np.unique(task.write_trace >> amap.offset_bits)))
-    return rstats, wstats, tlines
 
 
 def position_fingerprint(positions: np.ndarray) -> bytes:
@@ -143,8 +159,6 @@ class StepCacheStats:
 
     sr_hits: int = 0
     sr_evals: int = 0  # actual compute_short_range executions
-    packed_hits: int = 0
-    packed_builds: int = 0
     topo_hits: int = 0
     topo_misses: int = 0
     invalidations: int = 0
@@ -169,7 +183,8 @@ class ListMemo:
     #: replaces entries instead of accumulating them.
     state: dict = field(default_factory=dict)
     #: Lane panels of the vectorized short-range kernel
-    #: (`repro.core.vectorized`), filled by the kernel itself.
+    #: (`repro.core.vectorized`), filled by the kernel itself, which
+    #: also finds the owner's buffer pool here.
     panels: dict = field(default_factory=dict)
 
 
@@ -186,19 +201,28 @@ class StepCache:
     def __init__(self) -> None:
         #: id(plist) -> that list's memo.
         self._memos: dict[int, ListMemo] = {}
+        #: Kept-lane buffer sets of dead lists (`retire_panels`), shared
+        #: with every memo's panels.
+        self._pool: dict = {}
         self.stats = StepCacheStats()
 
     # -- lifecycle ---------------------------------------------------------
     def invalidate(self) -> None:
         """Drop every memo (pair-list rebuild, checkpoint restore or
-        resident eviction)."""
+        resident eviction), pooling their kept-lane buffers."""
+        from repro.core.vectorized import retire_panels
+
+        for memo in self._memos.values():
+            retire_panels(memo.panels, self._pool)
         self._memos.clear()
         self.stats.invalidations += 1
 
     def release_panels(self) -> None:
-        """Drop the lane panels of every memo and keep all other
-        entries — for owners whose positions never change, where the
-        cached short-range result answers every later call."""
+        """Drop the lane panels of every memo and the buffer pool, and
+        keep all other entries — for owners whose positions never
+        change, where the cached short-range result answers every later
+        call."""
+        self._pool.clear()
         for memo in self._memos.values():
             memo.panels.clear()
 
@@ -235,7 +259,7 @@ class StepCache:
         shared vs. recomputed result).  The kernel impl stays out of the
         key: both impls give bit-identical results (DESIGN.md §13).
         """
-        from repro.core.vectorized import compute_short_range_impl
+        from repro.core.vectorized import POOL, compute_short_range_impl
 
         memo = self._memo(plist)
         key = ("sr", np.dtype(dtype).str, nb_params)
@@ -244,32 +268,13 @@ class StepCache:
         if hit is not None and hit[0] == fp:
             self.stats.sr_hits += 1
             return hit[1]
+        memo.panels.setdefault(POOL, self._pool)
         sr = compute_short_range_impl(
             system, plist, nb_params, dtype=dtype, panels=memo.panels
         )
         memo.state[key] = (fp, sr)
         self.stats.sr_evals += 1
         return sr
-
-    def packed(
-        self,
-        system: ParticleSystem,
-        plist: ClusterPairList,
-        layout: Layout,
-        params: ChipParams = DEFAULT_PARAMS,
-    ) -> PackedParticles:
-        """Packed particle arrays, shared across the rungs of a sweep."""
-        state = self._memo(plist).state
-        key = ("packed", layout, params)
-        fp = position_fingerprint(system.positions)
-        hit = state.get(key)
-        if hit is not None and hit[0] == fp:
-            self.stats.packed_hits += 1
-            return hit[1]
-        packed = PackedParticles.from_pairlist(system, plist, layout, params)
-        state[key] = (fp, packed)
-        self.stats.packed_builds += 1
-        return packed
 
     # -- list-topology scope -----------------------------------------------
     def full_list(self, plist: ClusterPairList) -> ClusterPairList:
@@ -283,160 +288,18 @@ class StepCache:
             plist, ("parts", n_cpes), lambda: partition_clusters(plist, n_cpes)
         )
 
-    def pair_counts(self, plist: ClusterPairList, n_cpes: int) -> np.ndarray:
-        """Cluster-pair count per CPE for the cached partition."""
-
-        def compute():
-            parts = self.partitions(plist, n_cpes)
-            return np.array(
-                [int(plist.i_starts[hi] - plist.i_starts[lo]) for lo, hi in parts]
-            )
-
-        return self._topo_get(plist, ("pair_counts", n_cpes), compute)
-
-    def write_trace(
-        self, plist: ClusterPairList, lo: int, hi: int
-    ) -> np.ndarray:
-        return self._topo_get(
-            plist, ("wtrace", lo, hi),
-            lambda: write_trace_for_range(plist, lo, hi),
-        )
-
-    def write_trace_stats(
-        self,
-        plist: ClusterPairList,
-        lo: int,
-        hi: int,
-        params: ChipParams,
-        use_mark: bool,
-    ) -> WriteTraceStats:
+    def trace_counts(
+        self, plist: ClusterPairList, params: ChipParams
+    ) -> TraceCounts:
+        """The list's per-CPE cache-trace counts under ``params`` (its
+        geometry and CPE count)."""
         return self._topo_get(
             plist,
-            ("wstats", lo, hi, params, use_mark),
-            lambda: analyze_write_trace(
-                self.write_trace(plist, lo, hi), params, use_mark=use_mark
+            ("counts", params),
+            lambda: TraceCounts(
+                plist, self.partitions(plist, params.n_cpes), params
             ),
         )
-
-    def read_trace_stats(
-        self,
-        plist: ClusterPairList,
-        lo: int,
-        hi: int,
-        packed: PackedParticles,
-        params: ChipParams,
-    ) -> ReadTraceStats:
-        # The analysis uses only the trace, the cache geometry, and the
-        # packed line size — all topology/params facts, never positions.
-        key = ("rstats", lo, hi, params, packed.data_line_bytes)
-
-        def compute():
-            s, e = int(plist.i_starts[lo]), int(plist.i_starts[hi])
-            trace = plist.pair_cj[s:e].astype(np.int64)
-            return analyze_read_trace(trace, packed, params)
-
-        return self._topo_get(plist, key, compute)
-
-    def touched_lines(
-        self, plist: ClusterPairList, lo: int, hi: int, params: ChipParams
-    ) -> int:
-        """Distinct force-cache lines one CPE's write trace touches."""
-
-        def compute():
-            amap = AddressMap(params.index_bits, params.offset_bits)
-            trace = self.write_trace(plist, lo, hi)
-            return int(len(np.unique(trace >> amap.offset_bits)))
-
-        return self._topo_get(
-            plist, ("tlines", lo, hi, params.offset_bits), compute
-        )
-
-    # -- parallel priming ---------------------------------------------------
-    def prime_partition_stats(
-        self,
-        plist: ClusterPairList,
-        n_cpes: int,
-        packed: PackedParticles,
-        params: ChipParams,
-        *,
-        read: bool,
-        write: bool,
-        use_mark: bool,
-        touched: bool,
-        backend,
-    ) -> None:
-        """Fan the per-CPE trace analyses across a parallel backend.
-
-        Computes exactly the entries the subsequent `run_kernel` loop
-        would compute serially — read-trace stats, write-trace stats,
-        touched-line counts per partition — and stores them under the
-        same list-memo keys, so the serial getters then hit.  Values are
-        bit-identical by construction: the workers run the same pure
-        functions on the same trace slices, and results are stored in
-        partition order.  Serial or already-cached entries make this a
-        no-op; only missing analyses are shipped.
-
-        (Counter note: primed entries count as `topo_misses` here and as
-        `topo_hits` at the getter, so hit counts differ from a serial run
-        even though every cached *value* is identical.)
-        """
-        if not getattr(backend, "parallel", False):
-            return
-        if not (read or write or touched):
-            return
-        parts = self.partitions(plist, n_cpes)
-        topo = self._memo(plist).topo
-        tasks: list[_PartitionStatsTask] = []
-        keys: list[tuple[tuple | None, tuple | None, tuple | None]] = []
-        for lo, hi in parts:
-            rkey = ("rstats", lo, hi, params, packed.data_line_bytes)
-            wkey = ("wstats", lo, hi, params, use_mark)
-            tkey = ("tlines", lo, hi, params.offset_bits)
-            want_r = read and rkey not in topo
-            want_w = write and wkey not in topo
-            want_t = touched and tkey not in topo
-            if not (want_r or want_w or want_t):
-                continue
-            rtrace = None
-            if want_r:
-                s, e = int(plist.i_starts[lo]), int(plist.i_starts[hi])
-                rtrace = plist.pair_cj[s:e].astype(np.int64)
-            wtrace = (
-                self.write_trace(plist, lo, hi) if (want_w or want_t) else None
-            )
-            tasks.append(
-                _PartitionStatsTask(
-                    lo=lo,
-                    hi=hi,
-                    params=params,
-                    read_trace=rtrace,
-                    write_trace=wtrace,
-                    data_line_bytes=packed.data_line_bytes,
-                    use_mark=use_mark,
-                    want_write=want_w,
-                    want_touched=want_t,
-                )
-            )
-            keys.append(
-                (
-                    rkey if want_r else None,
-                    wkey if want_w else None,
-                    tkey if want_t else None,
-                )
-            )
-        if not tasks:
-            return
-        # Per-partition analyses are many small tasks: one coalesced
-        # submission per worker (map_batched) instead of one pickle
-        # round trip per partition.
-        mapper = getattr(backend, "map_batched", backend.map)
-        for (rkey, wkey, tkey), (rstats, wstats, tlines) in zip(
-            keys, mapper(_partition_stats_job, tasks)
-        ):
-            for key, value in ((rkey, rstats), (wkey, wstats), (tkey, tlines)):
-                if key is not None:
-                    topo[key] = value
-                    self.stats.topo_misses += 1
 
 
 @dataclass
@@ -471,42 +334,11 @@ class NullStepCache:
         self.stats.sr_evals += 1
         return compute_short_range_impl(system, plist, nb_params, dtype=dtype)
 
-    def packed(self, system, plist, layout, params=DEFAULT_PARAMS):
-        return PackedParticles.from_pairlist(system, plist, layout, params)
-
     def full_list(self, plist):
         return plist.to_full()
 
     def partitions(self, plist, n_cpes):
         return partition_clusters(plist, n_cpes)
 
-    def pair_counts(self, plist, n_cpes):
-        return np.array(
-            [
-                int(plist.i_starts[hi] - plist.i_starts[lo])
-                for lo, hi in self.partitions(plist, n_cpes)
-            ]
-        )
-
-    def write_trace(self, plist, lo, hi):
-        return write_trace_for_range(plist, lo, hi)
-
-    def write_trace_stats(self, plist, lo, hi, params, use_mark):
-        return analyze_write_trace(
-            self.write_trace(plist, lo, hi), params, use_mark=use_mark
-        )
-
-    def read_trace_stats(self, plist, lo, hi, packed, params):
-        s, e = int(plist.i_starts[lo]), int(plist.i_starts[hi])
-        return analyze_read_trace(
-            plist.pair_cj[s:e].astype(np.int64), packed, params
-        )
-
-    def touched_lines(self, plist, lo, hi, params):
-        amap = AddressMap(params.index_bits, params.offset_bits)
-        return int(
-            len(np.unique(self.write_trace(plist, lo, hi) >> amap.offset_bits))
-        )
-
-    def prime_partition_stats(self, *args, **kwargs) -> None:
-        """Reuse off: nothing to prime (getters always recompute)."""
+    def trace_counts(self, plist, params):
+        return TraceCounts(plist, self.partitions(plist, params.n_cpes), params)

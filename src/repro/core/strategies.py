@@ -99,9 +99,9 @@ def run_ladder(
     labels that alias the same spec (``Mark`` / ``MARK_GMX``) share all
     cached pieces too.
 
-    ``backend`` fans the pair-list exact filter and per-CPE trace
-    analyses across worker processes (name, `ExecutionBackend`, or None
-    for ``REPRO_BACKEND``-or-serial); results are bit-identical.
+    ``backend`` fans the pair-list exact filter across worker processes
+    (name, `ExecutionBackend`, or None for ``REPRO_BACKEND``-or-serial);
+    results are bit-identical.
     """
     nb_params = nb_params or NonbondedParams()
     backend = shared_backend(backend)
@@ -110,8 +110,7 @@ def run_ladder(
     results: dict[str, KernelResult] = {}
     for strat in strategies:
         results[strat.label] = run_kernel(
-            system, plist, nb_params, strat.spec, params, cache=cache,
-            backend=backend,
+            system, plist, nb_params, strat.spec, params, cache=cache
         )
     if baseline_label not in results:
         base = run_kernel(
@@ -121,7 +120,6 @@ def run_ladder(
             get_strategy(baseline_label).spec,
             params,
             cache=cache,
-            backend=backend,
         )
     else:
         base = results[baseline_label]

@@ -31,13 +31,28 @@ of every size; the chunked reference runs only under
 ``REPRO_KERNEL=scalar``.  Every evaluation is one block loop over a
 lane stream: one fold per lane, then the pair kernel, the force
 components and the scatter on the in-cutoff lanes only, whose energy
-and virial both kernels sum per chunk.  A list's first evaluation
-streams every valid lane and builds no lane panels, keeping the lanes
-within ``r_keep`` as one int32 each; only an evaluation at other
-positions fills the kept-lane panels from that selection and streams
-them, so a list evaluated once (a serve batch, a warmup) never pays
-for them.  Forces, energy and virial are grouped by the reference's
-``chunk_pairs`` chunks, so they stay bit-identical above one chunk too.
+and virial both kernels sum per chunk.  Lanes travel as *ids*, their
+flat positions in the list's ``(M, 4, 4)`` tiles (int32).
+
+A list's first evaluation builds no lane panels.  At the list's build
+positions it streams only the *listed* lanes, the valid lanes inside
+the pair search's lane mask (`listed_lanes`); elsewhere (a list rebuilt
+from a checkpoint's reference positions) it streams every valid lane.
+Both select the same lanes, exactly: the mask holds every lane whose
+float64 build-position ``r`` is below ``rlist + MASK_PAD``, a float32
+fold of those positions moves ``r`` by at most ``_FOLD_SLACK`` per nm
+of box edge (about 5e-6 nm in a 3.6 nm box, 4e-7 nm measured), and the
+listed stream is taken only when ``r_keep`` plus that slack lies within
+``rlist + MASK_PAD`` (`_first_lanes`), so no lane outside the stream
+can fall within ``r_keep``, let alone the cutoff.  Its scan keeps the
+ids of the lanes within ``r_keep`` as a pending selection; only an
+evaluation at other positions fills the kept-lane panels from those
+ids and streams them, so a list evaluated once (a serve batch, a
+warmup) never pays for them.  Kept-lane buffer sets outlive their list
+in the owner's pool (`retire_panels`): the next list's first evaluation
+borrows one for its outputs and its fill takes one.  Forces, energy and
+virial are grouped by the reference's ``chunk_pairs`` chunks, so they
+stay bit-identical above one chunk too.
 
 Implementation selection: ``REPRO_KERNEL`` is the one switch, read
 only by ``resolve_kernel_impl``; it defaults to ``"vectorized"``, and
@@ -70,9 +85,11 @@ from repro.md.nonbonded import (
 from repro.md.pairlist import (
     CLUSTER_SIZE,
     LANE_BLOCK,
+    MASK_PAD,
     TILE_LANE_I,
     TILE_LANE_J,
     ClusterPairList,
+    unpack_lanes,
 )
 from repro.md.system import ParticleSystem
 from repro.parallel.pool import as_input
@@ -259,20 +276,46 @@ def valid_lanes(
     """Flat full-lane index (int32) of every topology-valid tile lane.
 
     The lanes the reference mask (`tile_validity`) keeps, as positions
-    in the flattened ``(M, 4, 4)`` tile block; slot pairs and pair
-    constants are derived from them on demand (:func:`_lane_slots`).
-    Built block by block from per-cluster rows: each cluster's ``real``
-    and molecule-id row is laid out once as an i side and a j side of a
-    tile's 16 lanes (`TILE_LANE_I`, `TILE_LANE_J`), so a block's
-    ``(m, 16)`` tile masks are row gathers and flat compares; a
-    diagonal tile also takes the constant 4x4 triangle
-    (``a < b`` on a half list, ``a != b`` on a full one).  Nothing here
-    depends on positions, so a drift-guard re-anchor reuses it and only
-    redoes the positional scan.  Memoised in ``panels``, the caller's
-    per-list panel memo (None: no reuse).
+    in the flattened ``(M, 4, 4)`` tile block (a lane's *id*); slot
+    pairs and pair constants are derived from them on demand
+    (:func:`_lane_slots`).  Built block by block from per-cluster rows:
+    each cluster's ``real`` and molecule-id row is laid out once as an i
+    side and a j side of a tile's 16 lanes (`TILE_LANE_I`,
+    `TILE_LANE_J`), so a block's ``(m, 16)`` tile masks are row gathers
+    and flat compares; a diagonal tile also takes the constant 4x4
+    triangle (``a < b`` on a half list, ``a != b`` on a full one).
+    Nothing here depends on positions; a drift-guard re-anchor scans
+    these lanes.  Memoised in ``panels``, the caller's per-list panel
+    memo (None: no reuse).
     """
-    if panels is not None and "lanes" in panels:
-        return panels["lanes"]
+    return _memo_lanes(system, plist, panels, "lanes")
+
+
+def listed_lanes(
+    system: ParticleSystem, plist: ClusterPairList, panels: dict | None = None
+) -> np.ndarray:
+    """The `valid_lanes` whose bit is set in the list's lane mask
+    (`ClusterPairList.lane_mask`): the valid lanes the pair search found
+    within ``rlist + MASK_PAD`` at the build positions.  Built in the
+    same block loop (one more AND per block) and memoised beside it
+    until the panels are filled."""
+    return _memo_lanes(system, plist, panels, "listed")
+
+
+def _memo_lanes(
+    system: ParticleSystem, plist: ClusterPairList, panels: dict | None, key: str
+) -> np.ndarray:
+    if panels is not None and key in panels:
+        return panels[key]
+    lanes = _lanes(system, plist, listed=key == "listed")
+    if panels is not None:
+        panels[key] = lanes
+    return lanes
+
+
+def _lanes(
+    system: ParticleSystem, plist: ClusterPairList, listed: bool
+) -> np.ndarray:
     mol = plist.gather(system.topology.mol_ids, fill=-1).reshape(-1, CLUSTER_SIZE)
     real = plist.real.reshape(-1, CLUSTER_SIZE)
     # np.take keeps the 16-lane rows C-contiguous (``mol[:, lanes]``
@@ -294,14 +337,13 @@ def valid_lanes(
         valid &= real_j[cj]
         valid &= mol_i[ci] != mol_j[cj]
         valid[ci == cj] &= tri
+        if listed:
+            valid &= unpack_lanes(plist.lane_mask[lo : lo + step])
         hit = np.flatnonzero(valid)
         hit += lo * tile
         lanes[k : k + len(hit)] = hit
         k += len(hit)
-    lanes = lanes[:k]
-    if panels is not None:
-        panels["lanes"] = lanes
-    return lanes
+    return lanes[:k]
 
 
 def _lane_slots(
@@ -383,6 +425,50 @@ def _outputs(n: int, dtype, half: bool, empty=np.empty) -> dict:
         "ec": empty(n, dtype),
         "wc": empty(n, np.float64),
     }
+
+
+#: Key of the owner's buffer pool in a per-list panel memo: a dict,
+#: shared by every memo of one owner (`repro.core.stepcache.StepCache`),
+#: of kept-lane buffer sets that dead lists left behind, one per
+#: `_pool_key`.
+POOL = "pool"
+
+
+def _pool_key(dtype, half: bool, params: NonbondedParams) -> tuple:
+    """What a kept-lane buffer set's layout depends on."""
+    return (np.dtype(dtype).str, half, params.shift_lj)
+
+
+def _lane_buffers(cap: int, dtype, half: bool, params: NonbondedParams) -> dict:
+    """One kept-lane buffer set of capacity ``cap``: the compact outputs
+    (`_outputs`), the slots (``sidx``) and the pair constants, each an
+    anonymous mapping (`_mapped`), so the pages a list never writes are
+    never resident."""
+    bufs = _outputs(cap, dtype, half, _mapped)
+    bufs["sidx"] = _mapped((2, cap), np.int64)
+    for name in _const_names(params):
+        bufs[name] = _mapped(cap, dtype)
+    return bufs
+
+
+def _pooled(pool: dict | None, key: tuple, n: int) -> dict | None:
+    """Take the buffer set pooled under ``key``: the set if it holds
+    ``n`` lanes, else None (a smaller set is dropped)."""
+    bufs = pool.pop(key, None) if pool else None
+    return bufs if bufs is not None and len(bufs["ec"]) >= n else None
+
+
+def retire_panels(panels: dict, pool: dict) -> None:
+    """Move the kept-lane buffer sets of a dead list's ``panels`` into
+    ``pool`` (the larger set per `_pool_key`), for the next list's first
+    evaluation and fill.  Only an owner that invalidates every list at
+    once calls this, so no two live panel sets ever share a buffer."""
+    for cp in panels.values():
+        if isinstance(cp, CompactPanels) and cp.bufs:
+            held = pool.get(cp.pool_key)
+            if held is None or len(held["ec"]) < cp.cap:
+                pool[cp.pool_key] = cp.bufs
+            cp.bufs = {}
 
 
 def _slot_tables(
@@ -472,8 +558,11 @@ class CompactPanels:
     chunk_lanes: int
     #: The kept lanes' chunk ranges (`_segments`), set by each fill.
     segs: list = field(default_factory=list)
-    #: A selection waiting for its fill: positions into `valid_lanes`
-    #: (int32) of the lanes kept at ``anchor_pos``.  None once filled.
+    #: The owner's pool key of the buffer set (`_pool_key`).
+    pool_key: tuple = ()
+    #: A selection waiting for its fill: the ids (flat tile positions,
+    #: int32, ascending) of the lanes kept at ``anchor_pos``.  None once
+    #: filled.
     sel: np.ndarray | None = field(default=None, repr=False)
 
     # Named views for tests; the hot path slices ``bufs`` directly.
@@ -510,6 +599,7 @@ def _new_panels(
         r_keep=params.r_cut + PRUNE_MARGIN,
         half=plist.half,
         chunk_lanes=chunk_pairs * CLUSTER_SIZE * CLUSTER_SIZE,
+        pool_key=_pool_key(pos.dtype, plist.half, params),
     )
 
 
@@ -517,8 +607,8 @@ def _select(
     cp: CompactPanels, plist: ClusterPairList, pos: np.ndarray, lanes: np.ndarray
 ) -> None:
     """Re-anchor ``cp`` at ``pos``: the ``lanes`` (every valid lane)
-    within ``r_keep`` there become its pending selection, by one rounded
-    fold per lane, block by block."""
+    within ``r_keep`` there become its pending selection (their ids), by
+    one rounded fold per lane, block by block."""
     pcols = np.ascontiguousarray(pos.T)
     box_arr = plist.box.array.astype(pos.dtype)
     keep2 = pos.dtype.type(cp.r_keep) ** 2
@@ -527,11 +617,11 @@ def _select(
     sel = np.empty(len(lanes), dtype=np.int32)
     k = 0
     for lo in range(0, len(lanes), block):
-        vi, vj = _lane_slots(plist, lanes[lo : lo + block])
+        ids = lanes[lo : lo + block]
+        vi, vj = _lane_slots(plist, ids)
         r2 = minimum_image_fold(pcols, box_arr, vi, vj, s.d, s.r2, s.t[0])
         near = np.flatnonzero(r2 < keep2)
-        near += lo
-        sel[k : k + len(near)] = near
+        np.take(ids, near, out=sel[k : k + len(near)])
         k += len(near)
     cp.sel = sel[:k]
     np.copyto(cp.anchor_pos, pos)
@@ -546,26 +636,26 @@ def _fill(
 ) -> None:
     """Fill the kept-lane buffers from the pending selection: slots and
     pair constants (neither depends on positions), and the kept lanes'
-    chunk ranges.
+    chunk ranges, all from the selected lane ids.
 
     When the kept set outgrows the capacity, the old buffers are
-    released before the larger set is allocated, so a growth never
-    holds two sets at once.
+    released first; the owner's pooled set (``panels[POOL]``) is taken
+    when it holds the kept set, else a set is allocated with room to
+    spare, so a growth never holds two sets at once.
     """
     dtype = cp.anchor_pos.dtype
-    lanes = valid_lanes(system, plist, panels)
     sel, cp.sel = cp.sel, None
     k = len(sel)
+    if panels is not None:
+        panels.pop("listed", None)  # read by first evaluations only
     if not cp.bufs or k > cp.cap:
         cp.bufs = {}
-        cp.cap = k + (k >> 4) + 1024
-        cp.bufs = _outputs(cp.cap, dtype, cp.half)
-        cp.bufs["sidx"] = np.empty((2, cp.cap), dtype=np.int64)
-        for name in _const_names(params):
-            cp.bufs[name] = np.empty(cp.cap, dtype=dtype)
+        pooled = _pooled(panels and panels.get(POOL), cp.pool_key, k)
+        if pooled is None:
+            pooled = _lane_buffers(k + (k >> 4) + 1024, dtype, cp.half, params)
+        cp.bufs, cp.cap = pooled, len(pooled["ec"])
     cp.n_kept = k
-    cuts = _chunk_cuts(lanes, cp.chunk_lanes, plist).astype(sel.dtype)
-    cp.segs = _segments(np.searchsorted(sel, cuts), k)
+    cp.segs = _segments(_chunk_cuts(sel, cp.chunk_lanes, plist), k)
 
     b = cp.bufs
     tables = _slot_tables(system, plist, dtype)
@@ -573,7 +663,7 @@ def _fill(
     scratch = np.empty(block, dtype=dtype)
     for lo in range(0, k, block):
         hi = min(lo + block, k)
-        vi, vj = _lane_slots(plist, np.take(lanes, sel[lo:hi]))
+        vi, vj = _lane_slots(plist, sel[lo:hi])
         b["sidx"][0, lo:hi] = vi
         b["sidx"][1, lo:hi] = vj
         _pair_constants(tables, vi, vj, b, lo, params, scratch[: hi - lo])
@@ -668,6 +758,39 @@ def _pair_terms_compact(
     return f_lj, e_lj
 
 
+#: Bound, per nm of the longest box edge, on how far a float32 fold's
+#: ``r`` can lie from the float64 fold of the same float64 positions:
+#: about ``5 eps`` (the cast of both positions and the edge, and the
+#: subtraction, division and image subtraction, each within half an ulp
+#: of ``L``, over three coordinates), taken with a margin of three.
+_FOLD_SLACK = 16 * float(np.finfo(np.float32).eps)
+
+
+def _first_lanes(
+    system: ParticleSystem,
+    plist: ClusterPairList,
+    cp: CompactPanels,
+    cur: np.ndarray,
+    panels: dict | None,
+) -> np.ndarray:
+    """The lanes a first evaluation at sorted positions ``cur`` (float64)
+    streams: the `listed_lanes` when ``cur`` are the list's build
+    positions and its lane mask holds every lane the kernel's own fold
+    can place within ``r_keep`` (``r_keep`` plus the fold's slack within
+    ``rlist + MASK_PAD``); otherwise every valid lane, as after a
+    restart that rebuilds a list from a checkpoint's reference
+    positions.  Either stream selects the same kept lanes and the same
+    in-cutoff lanes, as a lane outside both is outside ``r_keep``."""
+    slack = _FOLD_SLACK * float(plist.box.array.max())
+    if (
+        plist.lane_mask is not None
+        and cp.r_keep + slack <= plist.rlist + MASK_PAD
+        and np.array_equal(cur, plist.sorted_positions)
+    ):
+        return listed_lanes(system, plist, panels)
+    return valid_lanes(system, plist, panels)
+
+
 def _drift2_max(
     pos: np.ndarray, anchor: np.ndarray, box_arr: np.ndarray
 ) -> float:
@@ -690,13 +813,14 @@ def _evaluate(
     params: NonbondedParams,
     pos: np.ndarray,
     lanes: np.ndarray | None = None,
+    pool: dict | None = None,
 ) -> ShortRangeResult:
     """Evaluate at ``pos`` over a lane stream, block by block.
 
-    The stream is ``lanes``, every valid lane (`valid_lanes`), on a
-    list's first evaluation, whose scan also selects the lanes within
-    ``r_keep`` as ``cp``'s pending selection anchored at ``pos`` (as
-    `_select` does); or, for None, the filled kept lanes.
+    The stream is ``lanes`` on a list's first evaluation (`_first_lanes`),
+    whose scan also selects the ids of the lanes within ``r_keep`` as
+    ``cp``'s pending selection anchored at ``pos`` (as `_select` does);
+    or, for None, the filled kept lanes.
     Per block: one rounded fold (the reference's, so ``r2`` equals its),
     then only the lanes with ``0 < r2 < r_cut**2`` go on.  Their ``r2``,
     ``dr``, slots and pair constants (derived from the slot tables on a
@@ -704,16 +828,21 @@ def _evaluate(
     pair kernel runs on them, and their energies, float64 ``f*r2`` and
     force components land in lane order in compact outputs (`_outputs`:
     sized for the stream, of which only the written part touches
-    memory; on a first evaluation they are mapped (`_mapped`)).  Blocks
+    memory).  A first evaluation borrows the owner's pooled buffer set
+    (``pool``) for them when it is large enough and returns it after
+    `_finish`, else maps temporaries of its own (`_mapped`).  Blocks
     never cross a reference chunk.  The scatter slots are laid out per
     chunk as its i slots, then its j slots.
     """
     dt = pos.dtype.type
+    borrowed = None
     if lanes is not None:
         n = len(lanes)
         segs = _segments(_chunk_cuts(lanes, cp.chunk_lanes, plist), n)
         tables = _slot_tables(system, plist, pos.dtype)
-        out = _outputs(n, pos.dtype, cp.half, _mapped)
+        out = borrowed = _pooled(pool, cp.pool_key, n)
+        if out is None:
+            out = _outputs(n, pos.dtype, cp.half, _mapped)
         sel = np.empty(n, dtype=np.int32)
         keep2 = dt(cp.r_keep) ** 2
     else:
@@ -736,14 +865,14 @@ def _evaluate(
         for lo in range(a, z, block):
             hi = min(lo + block, z)
             if lanes is not None:
-                vi, vj = _lane_slots(plist, lanes[lo:hi])
+                ids = lanes[lo:hi]
+                vi, vj = _lane_slots(plist, ids)
             else:
                 vi, vj = out["sidx"][0, lo:hi], out["sidx"][1, lo:hi]
             r2 = minimum_image_fold(pcols, box_arr, vi, vj, s.d, s.r2, s.t[0])
             if lanes is not None:
                 near = np.flatnonzero(r2 < keep2)
-                near += lo
-                sel[n_sel : n_sel + len(near)] = near
+                np.take(ids, near, out=sel[n_sel : n_sel + len(near)])
                 n_sel += len(near)
             inside, positive = s.mask[0, : hi - lo], s.mask[1, : hi - lo]
             np.less(r2, cut2, out=inside)
@@ -776,7 +905,10 @@ def _evaluate(
     if lanes is not None:
         cp.sel = sel[:n_sel]
         np.copyto(cp.anchor_pos, pos)
-    return _finish(system, plist, cp, out, chunks, n_in_cutoff)
+    result = _finish(system, plist, cp, out, chunks, n_in_cutoff)
+    if borrowed is not None:
+        pool[cp.pool_key] = borrowed
+    return result
 
 
 def _finish(
@@ -845,10 +977,11 @@ def compute_short_range_vectorized(
     * **First evaluation** — ``panels`` holds no panels for this dtype,
       these params and this ``chunk_pairs`` (or is None), or holds a
       pending selection anchored at these very positions: the stream is
-      every valid lane, and its scan keeps the lanes within ``r_keep``
-      as a pending selection (one int32 each) plus the anchor
-      positions.  No kept-lane buffer is built, so a list evaluated
-      once — a serve batch, a warmup — never builds more.
+      the listed lanes at the list's build positions, else every valid
+      lane (`_first_lanes`), and its scan keeps the ids of the lanes
+      within ``r_keep`` as a pending selection (one int32 each) plus
+      the anchor positions.  No kept-lane buffer is built, so a list
+      evaluated once — a serve batch, a warmup — never builds more.
     * **Later evaluations** at other positions fill the kept-lane
       buffers from that selection, once; then the stream is the kept
       lanes.  A drift guard re-anchors the panels (select and fill at
@@ -864,7 +997,8 @@ def compute_short_range_vectorized(
     per component, and energy and virial add per-chunk float64 sums of
     the in-cutoff lanes in chunk order.
     """
-    pos = plist.current_positions(system).astype(dtype)
+    cur = plist.current_positions(system)
+    pos = cur.astype(dtype, copy=False)
     key = _panel_key(dtype, params, chunk_pairs)
     cp = panels.get(key) if panels is not None else None
     if cp is None or (cp.sel is not None and np.array_equal(pos, cp.anchor_pos)):
@@ -872,8 +1006,9 @@ def compute_short_range_vectorized(
             cp = _new_panels(plist, params, pos, chunk_pairs)
             if panels is not None:
                 panels[key] = cp
-        lanes = valid_lanes(system, plist, panels)
-        return _evaluate(cp, system, plist, params, pos, lanes)
+        lanes = _first_lanes(system, plist, cp, cur, panels)
+        pool = panels.get(POOL) if panels is not None else None
+        return _evaluate(cp, system, plist, params, pos, lanes, pool)
 
     margin = cp.r_keep - params.r_cut
     if 4.0 * _drift2_max(pos, cp.anchor_pos, plist.box.array.astype(dtype)) > (

@@ -18,7 +18,11 @@ Two implementations of miss counting exist: the exact sequential cache
 classes below, and :func:`count_misses_direct_mapped`, a vectorised
 counter using the observation that per-set miss count equals the number of
 tag *changes* in that set's access sequence.  Property tests assert they
-agree on arbitrary traces.
+agree on arbitrary traces.  The per-CPE traces of a whole pair list are
+counted in one segmented pass (:func:`segment_misses_direct_mapped`,
+:func:`segment_distinct_lines`) whose counts equal one call per CPE.
+Set keys sort as uint16 when they fit, where numpy's stable sort is a
+radix sort: the permutation, and so every count, is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
 
 
 @dataclass(frozen=True)
@@ -175,36 +178,94 @@ class TwoWaySetAssociativeCache:
         self.stats = CacheStats()
 
 
+def _checked(package_indices: np.ndarray) -> np.ndarray:
+    idx = np.asarray(package_indices, dtype=np.int64)
+    if (idx < 0).any():
+        raise ValueError("package indices must be non-negative")
+    return idx
+
+
+def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, n_keys)``,
+    sorted as uint16 (a radix sort) when they fit."""
+    if n_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _segment_ids(lengths) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+
+
+def segment_misses_direct_mapped(
+    package_indices: np.ndarray,
+    lengths,
+    amap: AddressMap | None = None,
+) -> np.ndarray:
+    """Direct-mapped miss count of each segment of a trace: segment
+    ``s`` is the next ``lengths[s]`` accesses, run through a cold cache
+    of its own (one CPE's trace of a whole-list trace).
+
+    For each set, the cache holds exactly one tag, so the miss count is
+    the number of positions in that set's access sequence where the tag
+    differs from the previous access (plus one for the cold first
+    access).  One stable sort by ``segment * n_sets + set`` orders every
+    segment's sets by position at once, segment after segment.  A line
+    (``index >> offset_bits``) fixes both set and tag, so a miss is a
+    segment's first access or an access whose line differs from its
+    predecessor's — the numpy idiom replacing a per-access Python loop
+    (guide: vectorise the inner loop, not the algorithm).  Returns int64
+    counts, each equal to :func:`count_misses_direct_mapped` of its
+    segment.
+    """
+    amap = amap or AddressMap()
+    idx = _checked(package_indices)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if idx.size == 0:
+        return np.zeros(len(lengths), dtype=np.int64)
+    lines = idx >> amap.offset_bits
+    key = _segment_ids(lengths) << amap.index_bits
+    key |= lines & (amap.n_lines - 1)
+    lines = lines[_stable_order(key, len(lengths) << amap.index_bits)]
+    miss = np.empty(idx.size + 1, dtype=np.int64)
+    miss[0] = 0
+    np.not_equal(lines[1:], lines[:-1], out=miss[2:])
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    miss[1 + starts[lengths > 0]] = 1
+    np.cumsum(miss, out=miss)
+    return miss[ends] - miss[starts]
+
+
+def segment_distinct_lines(
+    package_indices: np.ndarray,
+    lengths,
+    amap: AddressMap | None = None,
+) -> np.ndarray:
+    """Distinct cache lines (``index >> offset_bits``) each segment of a
+    trace touches: one presence count over ``segment * span + line``
+    (``span`` past the largest line), equal per segment to
+    ``len(np.unique(segment >> offset_bits))``."""
+    amap = amap or AddressMap()
+    idx = _checked(package_indices)
+    n_seg = len(lengths)
+    if idx.size == 0:
+        return np.zeros(n_seg, dtype=np.int64)
+    lines = idx >> amap.offset_bits
+    span = int(lines.max()) + 1
+    seen = np.zeros(n_seg * span, dtype=bool)
+    seen[_segment_ids(lengths) * span + lines] = True
+    return np.count_nonzero(seen.reshape(n_seg, span), axis=1)
+
+
 def count_misses_direct_mapped(
     package_indices: np.ndarray, amap: AddressMap | None = None
 ) -> int:
-    """Vectorised miss count for a direct-mapped cache over a full trace.
-
-    For each set, the cache holds exactly one tag, so the miss count is the
-    number of positions in that set's access sequence where the tag differs
-    from the previous access (plus one for the cold first access).  Sorting
-    the trace by (set, position) with a stable sort lets ``np.diff`` find
-    all tag changes at once — the numpy idiom replacing a per-access Python
-    loop (guide: vectorise the inner loop, not the algorithm).
-    """
-    amap = amap or AddressMap()
+    """Vectorised miss count for a direct-mapped cache over a full trace
+    (the one-segment :func:`segment_misses_direct_mapped`)."""
     idx = np.asarray(package_indices, dtype=np.int64)
-    if idx.size == 0:
-        return 0
-    if (idx < 0).any():
-        raise ValueError("package indices must be non-negative")
-    lines = (idx >> amap.offset_bits) & (amap.n_lines - 1)
-    tags = idx >> (amap.index_bits + amap.offset_bits)
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    sorted_tags = tags[order]
-    new_set = np.empty(idx.size, dtype=bool)
-    new_set[0] = True
-    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=new_set[1:])
-    tag_change = np.empty(idx.size, dtype=bool)
-    tag_change[0] = True
-    np.not_equal(sorted_tags[1:], sorted_tags[:-1], out=tag_change[1:])
-    return int(np.count_nonzero(new_set | tag_change))
+    return int(segment_misses_direct_mapped(idx, [idx.size], amap)[0])
 
 
 def count_misses_two_way(
@@ -230,25 +291,18 @@ def count_misses_two_way(
     """
     base = amap or AddressMap()
     two = AddressMap(base.index_bits - 1, base.offset_bits)
-    idx = np.asarray(package_indices, dtype=np.int64)
+    idx = _checked(package_indices)
     if idx.size == 0:
         return 0
-    if (idx < 0).any():
-        raise ValueError("package indices must be non-negative")
-    sets = (idx >> two.offset_bits) & (two.n_lines - 1)
-    tags = idx >> (two.index_bits + two.offset_bits)
-    order = np.argsort(sets, kind="stable")
-    s = sets[order]
-    t = tags[order]
+    # Sorted by set, stable; a line fixes both set and tag, so runs and
+    # their heads follow from line changes alone.
+    lines = idx >> two.offset_bits
+    lines = lines[_stable_order(lines & (two.n_lines - 1), two.n_lines)]
     head = np.empty(idx.size, dtype=bool)
     head[0] = True
-    head[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1])
-    rs = s[head]
-    rt = t[head]
-    miss = np.ones(rs.size, dtype=bool)
-    if rs.size > 2:
-        miss[2:] = (rs[2:] != rs[:-2]) | (rt[2:] != rt[:-2])
-    return int(np.count_nonzero(miss))
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    runs = lines[head]
+    return min(runs.size, 2) + int(np.count_nonzero(runs[2:] != runs[:-2]))
 
 
 def simulate_trace(

@@ -18,6 +18,17 @@ column at a time on flat lane arrays in blocks of `LANE_BLOCK` lanes: no
 ``(B, 4, 4, 3)`` tensor, and every keep mask bitwise that of the
 ``(..., 3)`` form.
 
+The exact filter already folds all 16 lanes of every candidate, so it
+also records which of them lie within ``rlist + MASK_PAD`` at the build
+positions: one uint16 *lane mask* per listed cluster pair
+(`ClusterPairList.lane_mask`, bit ``4a + b`` for lane (a, b)).  This is
+GROMACS' per-cluster-pair interaction mask, kept for the same reason:
+the kernel's first evaluation at the build positions streams only the
+lanes the search found inside the list radius instead of folding every
+lane of the list again (`repro.core.vectorized.listed_lanes`).  The mask
+never decides which pairs are listed; ``keep`` is the plain ``rlist``
+test, so lists are the same with or without it.
+
 The list is rebuilt every ``nstlist`` steps with a buffer
 (``rlist > rcut``), as in the paper's Table 3 (nstlist = 10, rlist = 1.0).
 """
@@ -51,6 +62,30 @@ LANE_BLOCK = 16384
 TILE_LANE_I = np.repeat(np.arange(CLUSTER_SIZE), CLUSTER_SIZE)
 TILE_LANE_J = np.tile(np.arange(CLUSTER_SIZE), CLUSTER_SIZE)
 
+#: Margin (nm) of the lane mask beyond ``rlist``.  A lane's bit is set
+#: when its float64 build-position ``r2`` is below ``(rlist +
+#: MASK_PAD)**2``, so the mask holds every lane that a float32 fold of
+#: the same positions can place within ``rlist``: that fold differs from
+#: the float64 one by at most about ``5 eps L`` in ``r`` (``L`` the
+#: longest box edge, ``eps`` float32's), 4e-7 nm measured on n=1500 and
+#: n=3000 water against 1e-4 here (DESIGN.md §13).
+MASK_PAD = 1e-4
+
+
+def pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """``(m, 16)`` booleans -> ``m`` uint16 lane masks (bit ``4a + b``
+    for lane ``4a + b``): a tile's 16 lanes are two whole bytes, so one
+    flat little-endian pack gives every mask at once."""
+    flat = np.ascontiguousarray(bits).reshape(-1)
+    return np.packbits(flat, bitorder="little").view("<u2")
+
+
+def unpack_lanes(mask: np.ndarray) -> np.ndarray:
+    """``m`` uint16 lane masks -> ``(m, 16)`` booleans (`pack_lanes`
+    inverted)."""
+    b = np.ascontiguousarray(mask, dtype="<u2").view(np.uint8)
+    return np.unpackbits(b, bitorder="little").view(bool).reshape(-1, 16)
+
 
 @dataclass
 class ClusterPairList:
@@ -74,6 +109,11 @@ class ClusterPairList:
     pair_ci: np.ndarray
     pair_cj: np.ndarray
     i_starts: np.ndarray
+    #: Lane mask per cluster pair, in list order (uint16, bit ``4a + b``
+    #: set when lane (a, b) lies within ``rlist + MASK_PAD`` at
+    #: ``sorted_positions``); None for a list built without the exact
+    #: filter.
+    lane_mask: np.ndarray | None = None
 
     @property
     def n_real(self) -> int:
@@ -138,6 +178,14 @@ class ClusterPairList:
         order = np.argsort(ci, kind="stable")
         ci, cj = ci[order], cj[order]
         starts = np.searchsorted(ci, np.arange(self.n_clusters + 1))
+        mask = None
+        if self.lane_mask is not None:
+            # Lane (a, b) of (ci, cj) is lane (b, a) of the mirror (cj, ci).
+            mirrored = unpack_lanes(self.lane_mask[off]).reshape(
+                -1, CLUSTER_SIZE, CLUSTER_SIZE
+            )
+            mirrored = pack_lanes(mirrored.transpose(0, 2, 1).reshape(-1, 16))
+            mask = np.concatenate([self.lane_mask, mirrored])[order]
         return ClusterPairList(
             box=self.box,
             rlist=self.rlist,
@@ -149,6 +197,7 @@ class ClusterPairList:
             pair_ci=ci.astype(np.int32),
             pair_cj=cj.astype(np.int32),
             i_starts=starts.astype(np.int64),
+            lane_mask=mask,
         )
 
     def average_neighbors_per_cluster(self) -> float:
@@ -293,7 +342,8 @@ def build_pair_list(
     (radius = rlist + 2 r_max, so no true pair can be missed); prefilter by
     per-pair bounding spheres; then (``exact_filter``) keep only pairs with
     an actual particle distance below ``rlist`` — the 4x4 distance work the
-    paper's §3.5 neighbour-search kernel performs.  Both filters fold one
+    paper's §3.5 neighbour-search kernel performs — and record each kept
+    pair's lane mask (`ClusterPairList.lane_mask`).  Both filters fold one
     position column at a time through `minimum_image_fold`, block by
     block, so their keep masks equal those of the ``(..., 3)`` form bit
     for bit.
@@ -313,16 +363,19 @@ def build_pair_list(
     n_clusters = len(centers)
     ci, cj = _candidate_pairs(centers, radii, box, rlist)
 
+    mask = np.empty(0, dtype=np.uint16) if exact_filter else None
     if len(ci):
         keep = _sphere_filter(centers, radii, box, ci, cj, rlist)
         ci, cj = ci[keep], cj[keep]
         if exact_filter and len(ci):
-            keep = _exact_cluster_filter(
+            keep, mask = _exact_cluster_filter(
                 sorted_pos, box, ci, cj, rlist, backend=backend
             )
-            ci, cj = ci[keep], cj[keep]
+            ci, cj, mask = ci[keep], cj[keep], mask[keep]
         order2 = np.argsort(ci, kind="stable")
         ci, cj = ci[order2], cj[order2]
+        if mask is not None:
+            mask = mask[order2]
 
     i_starts = np.searchsorted(ci, np.arange(n_clusters + 1))
     plist = ClusterPairList(
@@ -336,6 +389,7 @@ def build_pair_list(
         pair_ci=ci.astype(np.int32),
         pair_cj=cj.astype(np.int32),
         i_starts=i_starts.astype(np.int64),
+        lane_mask=mask,
     )
     # Candidates are generated in canonical ci <= cj form (a half list);
     # the RCA full list is derived by mirroring.
@@ -353,15 +407,16 @@ class _ExactFilterTask:
     rlist: float
 
 
-def _exact_filter_job(task: _ExactFilterTask) -> np.ndarray:
-    """Boolean keep mask for one chunk (pure; runs in any process).
+def _exact_filter_job(task: _ExactFilterTask) -> tuple[np.ndarray, np.ndarray]:
+    """``(keep, mask)`` for one chunk (pure; runs in any process).
 
     Block by block over ``LANE_BLOCK // 16`` cluster pairs: lane
     ``16m + 4a + b`` of a block pairs slot ``4*ci[m] + a`` with slot
     ``4*cj[m] + b`` (`TILE_LANE_I`, `TILE_LANE_J`; the layout
     `repro.core.vectorized._lane_slots` inverts), `minimum_image_fold`
     gives the lanes' ``r2``, and a pair is kept when the smallest of its
-    16 is below ``rlist**2``.
+    16 is below ``rlist**2``.  ``mask`` packs the lanes with ``r2 <
+    (rlist + MASK_PAD)**2`` (`pack_lanes`).
     """
     cols = np.ascontiguousarray(as_input(task.positions).T)
     tile = CLUSTER_SIZE * CLUSTER_SIZE
@@ -371,7 +426,10 @@ def _exact_filter_job(task: _ExactFilterTask) -> np.ndarray:
     slots_i = np.empty((step, tile), dtype=np.int64)
     slots_j = np.empty((step, tile), dtype=np.int64)
     cut2 = task.rlist * task.rlist
+    pad2 = (task.rlist + MASK_PAD) ** 2
+    near = np.empty((step, tile), dtype=bool)
     keep = np.empty(n, dtype=bool)
+    mask = np.empty(n, dtype=np.uint16)
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         si, sj = slots_i[: hi - lo], slots_j[: hi - lo]
@@ -381,9 +439,11 @@ def _exact_filter_job(task: _ExactFilterTask) -> np.ndarray:
         sj += TILE_LANE_J
         lane_r2 = minimum_image_fold(
             cols, task.box, si.reshape(-1), sj.reshape(-1), d, r2, t
-        )
-        np.less(lane_r2.reshape(-1, tile).min(axis=1), cut2, out=keep[lo:hi])
-    return keep
+        ).reshape(-1, tile)
+        np.less(lane_r2.min(axis=1), cut2, out=keep[lo:hi])
+        np.less(lane_r2, pad2, out=near[: hi - lo])
+        mask[lo:hi] = pack_lanes(near[: hi - lo])
+    return keep, mask
 
 
 #: Candidate count above which a parallel backend splits the exact
@@ -399,14 +459,15 @@ def _exact_cluster_filter(
     cj: np.ndarray,
     rlist: float,
     backend=None,
-) -> np.ndarray:
-    """True where some 4x4 particle distance of the cluster pair < rlist.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(keep, mask)``: True where some 4x4 particle distance of the
+    cluster pair < rlist, and each candidate's lane mask.
 
     One blocked job (`_exact_filter_job`) over every candidate; with a
     parallel ``backend`` and more than `EXACT_FILTER_FANOUT` candidates,
     the candidates split into one contiguous, near-equal chunk per
     worker, each running the same job (ordered concatenation —
-    bit-identical output, as the keep mask is elementwise per pair).
+    bit-identical output, as both results are elementwise per pair).
     """
     box_arr = box.array
     m = len(ci)
@@ -414,7 +475,7 @@ def _exact_cluster_filter(
         n = backend.n_workers
         bounds = [m * k // n for k in range(n + 1)]
         with shared_inputs(backend, positions=sorted_pos) as shared:
-            masks = backend.map(
+            chunks = backend.map(
                 _exact_filter_job,
                 [
                     _ExactFilterTask(
@@ -427,7 +488,8 @@ def _exact_cluster_filter(
                     for lo, hi in zip(bounds[:-1], bounds[1:])
                 ],
             )
-        return np.concatenate(masks)
+        keeps, masks = zip(*chunks)
+        return np.concatenate(keeps), np.concatenate(masks)
     return _exact_filter_job(_ExactFilterTask(sorted_pos, box_arr, ci, cj, rlist))
 
 

@@ -21,7 +21,7 @@ Two IPC refinements ride on the pool backend (DESIGN.md §14):
 
 * :meth:`PoolBackend.map_batched` coalesces many small tasks into one
   pickled submission per worker, cutting per-task executor and pickle
-  overhead for wide fans (per-CPE trace analyses, fidelity partitions);
+  overhead for wide fans (fidelity partitions);
 * **affinity lanes** — :meth:`PoolBackend.run_on` dispatches one task to
   a *specific* long-lived worker process (a "lane": a dedicated
   single-process executor), which is what lets worker-resident state

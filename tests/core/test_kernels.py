@@ -450,15 +450,130 @@ GOLDEN_BREAKDOWN = {
 }
 
 
+#: Every rung's stats on the same system, and the engine's neighbour-
+#: search time per rebuild and one modelled step (level 3) there.
+GOLDEN_STATS = {
+    "ORI": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+    },
+    "GLD": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 1.0,
+        "n_gld": 678480.0,
+        "read_bytes": 2713920.0,
+        "write_bytes": 3256704.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 0.0025542384758608524,
+    },
+    "PKG": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 1.0,
+        "read_bytes": 3816400.0,
+        "write_bytes": 3263952.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 0.0008287436730737293,
+    },
+    "CACHE": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 0.09609715835396769,
+        "i_lines": 72.0,
+        "write_miss_ratio": 0.09441612604263207,
+        "read_bytes": 794752.0,
+        "write_bytes": 625920.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 4.966551456519518e-05,
+    },
+    "VEC": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 0.09609715835396769,
+        "i_lines": 72.0,
+        "write_miss_ratio": 0.09441612604263207,
+        "read_bytes": 794752.0,
+        "write_bytes": 625920.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 4.966551456519518e-05,
+    },
+    "MARK": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 0.09609715835396769,
+        "i_lines": 72.0,
+        "write_miss_ratio": 0.09441612604263207,
+        "read_bytes": 794752.0,
+        "write_bytes": 312960.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 3.885083880852725e-05,
+    },
+    "RMA": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 0.09609715835396769,
+        "i_lines": 72.0,
+        "write_miss_ratio": 0.09441612604263207,
+        "read_bytes": 794752.0,
+        "write_bytes": 625920.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 4.966551456519518e-05,
+    },
+    "RCA": {
+        "cluster_pairs": 16811.0,
+        "tile_pairs": 268976.0,
+        "imbalance": 1.3400749509249896,
+        "read_miss_ratio": 0.07221462137885908,
+        "i_lines": 74.0,
+        "read_bytes": 1154048.0,
+        "write_bytes": 7248.0,
+        "nblist_bytes": 67244.0,
+        "dma_seconds": 4.2501764720623846e-05,
+    },
+    "USTC": {
+        "cluster_pairs": 8481.0,
+        "tile_pairs": 135696.0,
+        "imbalance": 1.682820422120033,
+        "read_miss_ratio": 0.09609715835396769,
+        "i_lines": 72.0,
+        "read_bytes": 794752.0,
+        "write_bytes": 407088.0,
+        "nblist_bytes": 33924.0,
+        "dma_seconds": 9.67659328122791e-05,
+    },
+}
+GOLDEN_NS_SECONDS = 3.247105174881322e-05
+GOLDEN_MODEL_STEP = 0.00015058231131432712
+
+
 class TestGoldenBreakdowns:
-    """Pin every rung's modelled breakdown on the fixed-seed system."""
+    """Pin every rung's modelled breakdown and stats, and the engine's
+    modelled neighbour search and step, on the fixed-seed system —
+    exactly: a reordered float sum in the cost model shows here."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_BREAKDOWN))
     def test_breakdown_pinned(self, name, water_small_mod, nb_mod, plist_mod):
         res = run_kernel(water_small_mod, plist_mod, nb_mod, ALL_SPECS[name])
-        golden = GOLDEN_BREAKDOWN[name]
-        assert res.breakdown.keys() == golden.keys()
-        for phase, val in golden.items():
-            assert res.breakdown[phase] == pytest.approx(
-                val, rel=1e-9, abs=1e-18
-            ), phase
+        assert res.breakdown == GOLDEN_BREAKDOWN[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_STATS))
+    def test_stats_pinned(self, name, water_small_mod, nb_mod, plist_mod):
+        res = run_kernel(water_small_mod, plist_mod, nb_mod, ALL_SPECS[name])
+        assert res.stats == GOLDEN_STATS[name]
+
+    def test_engine_model_pinned(self, water_small_mod, nb_mod):
+        from repro.core.engine import EngineConfig, SWGromacsEngine
+
+        engine = SWGromacsEngine(
+            water_small_mod.copy(), EngineConfig(nonbonded=nb_mod)
+        )
+        assert engine.model_step().total() == GOLDEN_MODEL_STEP
+        assert engine._cached_ns_seconds == GOLDEN_NS_SECONDS
+        assert engine._ns_seconds() == GOLDEN_NS_SECONDS

@@ -14,14 +14,19 @@ from repro.core.kernels import (
     run_kernel,
     run_strategy_sweep,
 )
+from repro.core import vectorized
 from repro.core.stepcache import (
     NullStepCache,
     StepCache,
+    TraceCounts,
+    partition_clusters,
     position_fingerprint,
     write_trace_for_range,
 )
+from repro.hw.cache import AddressMap
 from repro.core.strategies import STRATEGY_LADDER, run_ladder
 from repro.hw.params import DEFAULT_PARAMS
+from repro.md.forces import compute_short_range
 from repro.md.nonbonded import NonbondedParams
 from repro.md.pairlist import build_pair_list
 from repro.md.water import build_water_system
@@ -78,12 +83,19 @@ class TestSweepEquivalence:
         assert cache.stats.sr_evals == 2  # half list + RCA full list
         assert cache.stats.sr_hits == len(WITH_BASELINES) - 2
 
-    def test_one_packing_per_layout(self, water, plist, nb):
+    def test_builds_no_packed_particles(self, water, plist, nb, monkeypatch):
+        """The cost model reads only the read-cache line size, a chip
+        constant, so no rung packs particles (a position gather and a
+        fingerprint per rebuild and per served job)."""
+        from repro.core.packing import PackedParticles
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_kernel packed particles")
+
+        monkeypatch.setattr(PackedParticles, "from_pairlist", refuse)
         cache = StepCache()
         run_strategy_sweep(water, plist, nb, WITH_BASELINES, cache=cache)
-        # AOS (non-simd rungs) + SOA (simd rungs) = 2 builds.
-        assert cache.stats.packed_builds == 2
-        assert cache.stats.packed_hits > 0
+        assert not hasattr(cache.stats, "packed_builds")
 
     def test_run_ladder_shares_one_eval(self, water, nb):
         res = run_ladder(water, STRATEGY_LADDER, nb)
@@ -145,11 +157,13 @@ class TestCacheSemantics:
         p1 = cache.partitions(plist, 64)
         p2 = cache.partitions(plist, 64)
         assert p1 is p2
-        t1 = cache.write_trace(plist, 0, plist.n_clusters)
-        t2 = cache.write_trace(plist, 0, plist.n_clusters)
-        assert t1 is t2
-        assert np.array_equal(
-            t1, write_trace_for_range(plist, 0, plist.n_clusters)
+        c1 = cache.trace_counts(plist, DEFAULT_PARAMS)
+        c2 = cache.trace_counts(plist, DEFAULT_PARAMS)
+        assert c1 is c2
+        assert c1.write is c2.write
+        # The write trace's accesses: per i-cluster its pairs, then itself.
+        assert c1.write[1].sum() == len(
+            write_trace_for_range(plist, 0, plist.n_clusters)
         )
 
     def test_fingerprint_sensitivity(self):
@@ -266,8 +280,8 @@ class TestDriverBitIdentity:
 class TestNoOldListPinnedAtBuild:
     """When the engine or `MdLoop` builds its next pair list, its
     StepCache pins no memo of the old one, so the old lane panels are
-    freed before the new ones exist — during `run`, in the minimiser,
-    and after `restore`."""
+    gone (their buffers pooled) before the new ones exist — during
+    `run`, in the minimiser, and after `restore`."""
 
     NB = NonbondedParams(r_cut=0.75, r_list=0.85, coulomb_mode="rf", nstlist=5)
 
@@ -335,3 +349,195 @@ class TestNoOldListPinnedAtBuild:
         assert len(loops) == 1
         assert len(pinned) >= 2
         assert not any(pinned)
+
+
+def _panels(cache, plist):
+    """The vectorized kernel's panels of ``plist`` in ``cache``."""
+    (cp,) = [
+        v for v in cache._memos[id(plist)].panels.values()
+        if isinstance(v, vectorized.CompactPanels)
+    ]
+    return cp
+
+
+def _moved(system, seed, scale=0.002):
+    out = system.copy()
+    out.positions += np.random.default_rng(seed).normal(
+        0.0, scale, out.positions.shape
+    )
+    return out
+
+
+class TestBufferPool:
+    """Kept-lane buffers outlive their list: `invalidate` pools them,
+    the next list's first evaluation borrows them and its fill takes
+    them; they never serve two live lists, a one-shot list leaves none
+    behind, and `release_panels` drops them."""
+
+    @pytest.fixture(autouse=True)
+    def _vectorized(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+
+    def test_next_list_fill_reuses_dead_lists_arrays(self, water, nb):
+        cache = StepCache()
+        old = build_pair_list(water, nb.r_list)
+        for k in range(2):  # first evaluation, fill
+            cache.short_range(_moved(water, k, 0.002 * k), old, nb, np.float32)
+        dead = _panels(cache, old).bufs
+        assert dead
+        cache.invalidate()
+        assert cache._pool and next(iter(cache._pool.values())) is dead
+        start = _moved(water, 5)
+        plist = build_pair_list(start, nb.r_list)
+        first = cache.short_range(start, plist, nb, np.float32)
+        # Borrowed for the outputs and returned.
+        assert next(iter(cache._pool.values())) is dead
+        assert not _panels(cache, plist).bufs
+        later = _moved(start, 6)
+        filled = cache.short_range(later, plist, nb, np.float32)
+        cp = _panels(cache, plist)
+        assert cp.bufs is dead and not cache._pool
+        assert all(cp.bufs[name] is arr for name, arr in dead.items())
+        for system, res in ((start, first), (later, filled)):
+            ref = compute_short_range(system, plist, nb, dtype=np.float32)
+            assert np.array_equal(ref.forces, res.forces)
+            assert (ref.energy, ref.virial) == (res.energy, res.virial)
+
+    def test_small_pooled_set_is_replaced(self, water, nb, monkeypatch):
+        cache = StepCache()
+        old = build_pair_list(water, nb.r_list)
+        for k in range(2):
+            cache.short_range(_moved(water, k, 0.002 * k), old, nb, np.float32)
+        cache.invalidate()
+        (key,) = cache._pool
+        cache._pool[key] = vectorized._lane_buffers(
+            16, np.float32, True, nb
+        )
+        plist = build_pair_list(_moved(water, 5), nb.r_list)
+        for k in (5, 6):
+            res = cache.short_range(_moved(water, k), plist, nb, np.float32)
+            ref = compute_short_range(
+                _moved(water, k), plist, nb, dtype=np.float32
+            )
+            assert np.array_equal(ref.forces, res.forces)
+        cp = _panels(cache, plist)
+        assert cp.cap >= cp.n_kept > 16
+        assert not cache._pool
+
+    def test_two_live_lists_stay_exact(self, water, nb):
+        cache = StepCache()
+        old = build_pair_list(water, nb.r_list)
+        for k in range(2):
+            cache.short_range(_moved(water, k, 0.002 * k), old, nb, np.float32)
+        cache.invalidate()
+        lists = [
+            build_pair_list(_moved(water, 7), nb.r_list),
+            build_pair_list(_moved(water, 8), nb.r_list),
+        ]
+        for step in range(4):
+            for i, plist in enumerate(lists):
+                system = _moved(water, 7 + i if step == 0 else 20 + step)
+                res = cache.short_range(system, plist, nb, np.float32)
+                ref = compute_short_range(system, plist, nb, dtype=np.float32)
+                assert np.array_equal(
+                    ref.forces.view(np.int64), res.forces.view(np.int64)
+                )
+                assert (ref.energy, ref.virial) == (res.energy, res.virial)
+                assert ref.n_pairs_in_cutoff == res.n_pairs_in_cutoff
+        a, b = (_panels(cache, plist).bufs for plist in lists)
+        assert a and b
+        assert not any(
+            np.shares_memory(x, y) for x in a.values() for y in b.values()
+        )
+
+    def test_one_shot_list_leaves_no_pooled_buffer(self, water, plist, nb):
+        cache = StepCache()
+        cache.short_range(water, plist, nb, np.float32)
+        assert not cache._pool
+        assert not _panels(cache, plist).bufs
+        cache.release_panels()
+        cache.invalidate()
+        assert not cache._pool
+
+    def test_release_panels_empties_pool(self, water, nb):
+        cache = StepCache()
+        old = build_pair_list(water, nb.r_list)
+        for k in range(2):
+            cache.short_range(_moved(water, k, 0.002 * k), old, nb, np.float32)
+        cache.invalidate()
+        assert cache._pool
+        cache.release_panels()
+        assert not cache._pool
+
+
+def _oracle_misses(trace, amap):
+    """The direct-mapped miss count as a per-CPE call once computed it:
+    an int64 stable argsort of the set indices."""
+    idx = np.asarray(trace, dtype=np.int64)
+    if idx.size == 0:
+        return 0
+    lines = (idx >> amap.offset_bits) & (amap.n_lines - 1)
+    tags = idx >> (amap.index_bits + amap.offset_bits)
+    order = np.argsort(lines, kind="stable")
+    sl, st = lines[order], tags[order]
+    new = np.ones(idx.size, dtype=bool)
+    new[1:] = (sl[1:] != sl[:-1]) | (st[1:] != st[:-1])
+    return int(np.count_nonzero(new))
+
+
+def _oracle_counts(plist, parts, amap):
+    """Per-CPE (read misses, read accesses, write misses, write
+    accesses, distinct write lines), one partition at a time."""
+    rows = []
+    for lo, hi in parts:
+        s, e = int(plist.i_starts[lo]), int(plist.i_starts[hi])
+        read = plist.pair_cj[s:e].astype(np.int64)
+        write = write_trace_for_range(plist, lo, hi)
+        rows.append((
+            _oracle_misses(read, amap), len(read),
+            _oracle_misses(write, amap), len(write),
+            len(np.unique(write >> amap.offset_bits)),
+        ))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5)
+
+
+class TestTraceCounts:
+    """The whole-list passes give every CPE the counts a per-partition
+    analysis gives, on real lists of every family (with empty
+    partitions, and cluster counts 64 does not divide)."""
+
+    @pytest.mark.parametrize("n_cpes", [1, 7, 64])
+    @pytest.mark.parametrize("half", [True, False])
+    def test_equal_to_per_partition_oracle(self, water, nb, half, n_cpes):
+        plist = build_pair_list(water, nb.r_list, half=half)
+        assert plist.n_clusters % 64
+        params = DEFAULT_PARAMS.with_overrides(n_cpes=n_cpes)
+        self._check(plist, params)
+
+    def test_empty_partitions(self):
+        from repro.md.water import build_lj_mixture
+
+        system = build_lj_mixture(120, seed=5)
+        plist = build_pair_list(system, 0.9)
+        parts = partition_clusters(plist, DEFAULT_PARAMS.n_cpes)
+        assert plist.n_clusters < 64
+        assert any(lo == hi for lo, hi in parts)
+        self._check(plist, DEFAULT_PARAMS)
+
+    @pytest.mark.parametrize("index_bits, offset_bits", [(5, 3), (2, 1), (9, 0)])
+    def test_other_geometries(self, water, nb, index_bits, offset_bits):
+        plist = build_pair_list(water, nb.r_list)
+        params = DEFAULT_PARAMS.with_overrides(
+            index_bits=index_bits, offset_bits=offset_bits
+        )
+        self._check(plist, params)
+
+    @staticmethod
+    def _check(plist, params):
+        parts = partition_clusters(plist, params.n_cpes)
+        amap = AddressMap(params.index_bits, params.offset_bits)
+        want = _oracle_counts(plist, parts, amap)
+        counts = TraceCounts(plist, parts, params)
+        got = np.stack([*counts.read, *counts.write], axis=1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)

@@ -29,12 +29,13 @@ from repro.core.vectorized import (
     _Scratch,
     compute_short_range_impl,
     compute_short_range_vectorized,
+    listed_lanes,
     resolve_kernel_impl,
     valid_lanes,
 )
 from repro.md.forces import compute_short_range, tile_indices, tile_validity
 from repro.md.nonbonded import NonbondedParams, pair_force_energy
-from repro.md.pairlist import build_pair_list
+from repro.md.pairlist import MASK_PAD, build_pair_list
 from repro.md.water import build_lj_mixture, build_water_system
 from repro.scenarios import concretize_text
 from repro.scenarios.registry import build_scenario
@@ -480,6 +481,91 @@ class TestInCutoffLanes:
             _bit_equal(a, b)
 
 
+def _oracle_listed(system, plist):
+    """The valid lanes (`tile_validity`) that a float64 ``(n, 3)`` fold
+    of the build positions puts within ``rlist + MASK_PAD``."""
+    ci, cj = plist.pair_ci, plist.pair_cj
+    slot_i, slot_j = tile_indices(ci, cj)
+    mol = plist.gather(system.topology.mol_ids, fill=-1).astype(np.int64)
+    valid = tile_validity(plist, ci, cj, slot_i, slot_j, mol).ravel()
+    pos = plist.sorted_positions
+    dr = pos[slot_i.ravel()] - pos[slot_j.ravel()]
+    dr -= plist.box.array * np.round(dr / plist.box.array)
+    r2 = np.sum(dr * dr, axis=-1)
+    return np.flatnonzero(valid & (r2 < (plist.rlist + MASK_PAD) ** 2))
+
+
+class TestListedLanes:
+    """A first evaluation at a list's build positions folds only the
+    listed lanes (valid lanes inside the lane mask) when ``r_keep`` lies
+    within the list radius, and every valid lane otherwise; either way
+    it selects the lanes the all-valid-lane scan selects and matches the
+    scalar reference, then and after its fill."""
+
+    @pytest.mark.parametrize("margin", [0.05, 0.4])
+    @pytest.mark.parametrize("chunk_pairs", [257, 65536])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("half", [True, False])
+    def test_first_evaluation_streams_listed_lanes(
+        self, monkeypatch, half, dtype, chunk_pairs, margin
+    ):
+        monkeypatch.setattr(vectorized, "PRUNE_MARGIN", margin)
+        folded = []
+        fold = vectorized.minimum_image_fold
+
+        def counting(cols, box_arr, ii, *rest):
+            folded.append(len(ii))
+            return fold(cols, box_arr, ii, *rest)
+
+        monkeypatch.setattr(vectorized, "minimum_image_fold", counting)
+        system = build_water_system(600, seed=2019)
+        params = NonbondedParams(r_cut=0.8, r_list=0.9, coulomb_mode="rf")
+        reference = system.copy()
+        system.positions += np.random.default_rng(41).normal(
+            0.0, 0.003, system.positions.shape
+        )
+        rng = np.random.default_rng(43)
+        # At its build positions, and a list rebuilt from a checkpoint's
+        # reference positions, first evaluated at the current ones.
+        for plist, at_build in (
+            (build_pair_list(system, params.r_list, half=half), True),
+            (build_pair_list(reference, params.r_list, half=half), False),
+        ):
+            valid = valid_lanes(system, plist)
+            listed = listed_lanes(system, plist)
+            assert np.array_equal(listed, _oracle_listed(system, plist))
+            assert 0 < len(listed) < len(valid)
+            fits = params.r_cut + margin < params.r_list
+            want = listed if at_build and fits else valid
+            panels = {}
+            start = system.positions.copy()
+            for step in range(3):  # first evaluation, fill, steady
+                folded.clear()
+                res = compute_short_range_vectorized(
+                    system, plist, params, dtype=dtype,
+                    chunk_pairs=chunk_pairs, panels=panels,
+                )
+                _bit_equal(
+                    compute_short_range(
+                        system, plist, params, dtype=dtype,
+                        chunk_pairs=chunk_pairs,
+                    ),
+                    res,
+                )
+                if step == 0:
+                    assert sum(folded) == len(want)
+                    cp = _panels_of(panels)
+                    scan = vectorized._new_panels(
+                        plist, params, cp.anchor_pos, chunk_pairs
+                    )
+                    vectorized._select(scan, plist, cp.anchor_pos, valid)
+                    assert cp.sel.dtype == np.int32
+                    assert np.array_equal(cp.sel, scan.sel)
+                system.positions += rng.normal(0.0, 0.002, start.shape)
+            assert _panels_of(panels).sel is None
+            system.positions = start
+
+
 class TestBoundaryCrossing:
     """A particle that crosses the periodic boundary between two
     evaluations jumps a box edge in the wrapped slot positions, which
@@ -827,6 +913,34 @@ class TestPanelMemory:
         assert fill_peak <= 1.25 * ref_peak, (fill_peak, ref_peak)
         assert pending <= ref_peak, (pending, ref_peak)
         assert 0 < filled <= ref_peak, (filled, ref_peak)
+
+    def test_served_batch_bounded_and_released(self, monkeypatch):
+        """The serve path — one kernel run on a fresh list through its
+        owner's StepCache, then `release_panels` — peaks no higher than
+        1.25x the reference and leaves no lane buffer behind: a one-shot
+        first evaluation never pools its outputs."""
+        from repro.core.stepcache import StepCache
+
+        monkeypatch.setattr(vectorized, "_mapped", np.empty)
+        monkeypatch.setenv("REPRO_KERNEL", "vectorized")
+        system = build_water_system(3000, seed=2019)
+        params = NonbondedParams(r_cut=0.9, r_list=1.0, coulomb_mode="rf")
+        plist = build_pair_list(system, params.r_list)
+        ref_peak, _ = _traced(
+            lambda: compute_short_range(system, plist, params, dtype=np.float32)
+        )
+        cache = StepCache()
+
+        def serve():
+            run_kernel(system, plist, params, ALL_SPECS["MARK"], cache=cache)
+            cache.release_panels()
+
+        peak, kept = _traced(serve)
+        assert not cache._pool
+        (memo,) = cache._memos.values()
+        assert not memo.panels
+        assert peak <= 1.25 * ref_peak, (peak, ref_peak)
+        assert kept <= 0.05 * ref_peak, (kept, ref_peak)
 
 
 class TestMaskedLaneWarnings:

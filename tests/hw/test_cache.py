@@ -12,6 +12,8 @@ from repro.hw.cache import (
     TwoWaySetAssociativeCache,
     count_misses_direct_mapped,
     count_misses_two_way,
+    segment_distinct_lines,
+    segment_misses_direct_mapped,
     simulate_trace,
 )
 
@@ -184,3 +186,70 @@ def test_two_way_vectorised_empty():
 def test_two_way_vectorised_rejects_negative():
     with pytest.raises(ValueError):
         count_misses_two_way(np.array([-1]))
+
+
+def _int64_direct(idx, amap):
+    """The direct-mapped count over an int64 stable argsort of the set
+    keys (the sort the uint16 keys replace)."""
+    if idx.size == 0:
+        return 0
+    lines = (idx >> amap.offset_bits) & (amap.n_lines - 1)
+    tags = idx >> (amap.index_bits + amap.offset_bits)
+    order = np.argsort(lines.astype(np.int64), kind="stable")
+    sl, st_ = lines[order], tags[order]
+    miss = np.ones(idx.size, dtype=bool)
+    miss[1:] = (sl[1:] != sl[:-1]) | (st_[1:] != st_[:-1])
+    return int(np.count_nonzero(miss))
+
+
+def _int64_two_way(idx, amap):
+    two = AddressMap(amap.index_bits - 1, amap.offset_bits)
+    if idx.size == 0:
+        return 0
+    sets = (idx >> two.offset_bits) & (two.n_lines - 1)
+    tags = idx >> (two.index_bits + two.offset_bits)
+    order = np.argsort(sets.astype(np.int64), kind="stable")
+    s_, t_ = sets[order], tags[order]
+    head = np.ones(idx.size, dtype=bool)
+    head[1:] = (s_[1:] != s_[:-1]) | (t_[1:] != t_[:-1])
+    rs, rt = s_[head], t_[head]
+    miss = np.ones(rs.size, dtype=bool)
+    miss[2:] = (rs[2:] != rs[:-2]) | (rt[2:] != rt[:-2])
+    return int(np.count_nonzero(miss))
+
+
+@pytest.mark.parametrize("index_bits", [0, 1, 5, 9, 15, 16])
+def test_narrow_keys_count_as_int64_keys(index_bits):
+    """uint16 set keys (a radix sort) give the counts of int64 keys, on
+    random traces over caches of 1 to 65,536 lines."""
+    amap = AddressMap(index_bits, 3)
+    rng = np.random.default_rng(index_bits)
+    for n, high in ((1, 10), (5000, 1 << 12), (20000, 1 << 24)):
+        idx = rng.integers(0, high, n, dtype=np.int64)
+        assert count_misses_direct_mapped(idx, amap) == _int64_direct(idx, amap)
+        if index_bits:
+            assert count_misses_two_way(idx, amap) == _int64_two_way(idx, amap)
+
+
+@pytest.mark.parametrize("index_bits", [5, 12])
+def test_segments_count_as_separate_traces(index_bits):
+    """Each segment of a trace counts as a cold trace of its own, empty
+    segments included, with keys narrow (5 index bits, 64 segments) or
+    wide (12 bits: 2**18 keys)."""
+    amap = AddressMap(index_bits, 3)
+    rng = np.random.default_rng(7)
+    lengths = rng.integers(0, 400, 64)
+    lengths[[0, 5, 63]] = 0
+    idx = rng.integers(0, 1 << 14, int(lengths.sum()), dtype=np.int64)
+    misses = segment_misses_direct_mapped(idx, lengths, amap)
+    lines = segment_distinct_lines(idx, lengths, amap)
+    ends = np.cumsum(lengths)
+    for k, (a, z) in enumerate(zip(ends - lengths, ends)):
+        part = idx[a:z]
+        assert misses[k] == _int64_direct(part, amap)
+        assert lines[k] == len(np.unique(part >> amap.offset_bits))
+    empty = np.empty(0, dtype=np.int64)
+    assert not segment_misses_direct_mapped(empty, [0, 0], amap).any()
+    assert not segment_distinct_lines(empty, [0, 0], amap).any()
+    with pytest.raises(ValueError):
+        segment_misses_direct_mapped(np.array([-1]), [1], amap)

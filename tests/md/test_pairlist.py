@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from repro.md.cells import CellGrid
 from repro.md.pairlist import (
     CLUSTER_SIZE,
+    MASK_PAD,
     ClusterPairList,
     _candidate_pairs,
     _cluster_geometry,
     _cluster_particles,
+    _exact_cluster_filter,
     brute_force_pairs,
     build_pair_list,
+    pack_lanes,
     pair_list_covers,
+    unpack_lanes,
 )
 from repro.md.water import build_lj_fluid, build_lj_mixture, build_water_system
 from repro.scenarios import concretize_text
@@ -335,3 +339,83 @@ class TestPairListOracle:
         system.positions[picked, axis] = rng.uniform(-1e-3, 1e-3, len(picked))
         for half in (True, False):
             _assert_same_list(system, 0.6, half)
+
+
+def _oracle_lane_r2(plist, ci, cj):
+    """``(m, 16)`` float64 ``r2`` of every lane of the cluster pairs
+    ``(ci, cj)`` at the build positions, folded as one ``(m, 4, 4, 3)``
+    tensor (lane ``4a + b`` pairs member a of ci with member b of cj)."""
+    members = plist.sorted_positions.reshape(-1, CLUSTER_SIZE, 3)
+    dr = members[ci, :, None, :] - members[cj, None, :, :]
+    dr -= plist.box.array * np.round(dr / plist.box.array)
+    return np.sum(dr * dr, axis=-1).reshape(len(ci), 16)
+
+
+class TestLaneMasks:
+    """Each listed cluster pair carries the lanes found within ``rlist +
+    MASK_PAD`` at the build positions, without changing which pairs are
+    listed; the full list mirrors them."""
+
+    @pytest.fixture(scope="class", params=sorted(_ORACLE_SYSTEMS))
+    def system(self, request):
+        return _ORACLE_SYSTEMS[request.param]()
+
+    @pytest.mark.parametrize("rlist", [0.45, 0.5])
+    def test_bits_equal_float64_fold(self, system, rlist):
+        plist = build_pair_list(system, rlist)
+        assert plist.lane_mask.dtype == np.uint16
+        assert len(plist.lane_mask) == plist.n_cluster_pairs
+        r2 = _oracle_lane_r2(plist, plist.pair_ci, plist.pair_cj)
+        want = r2 < (rlist + MASK_PAD) ** 2
+        assert np.array_equal(unpack_lanes(plist.lane_mask), want)
+        # Every listed pair has a lane within rlist, so a set bit.
+        assert (r2.min(axis=1) < rlist * rlist).all()
+        assert (plist.lane_mask != 0).all()
+
+    def test_keep_unchanged(self, system):
+        rlist = 0.5
+        box = system.box
+        _, _, sorted_pos, _ = _cluster_particles(box.wrap(system.positions), box)
+        centers, radii = _cluster_geometry(sorted_pos, box)
+        ci, cj = _candidate_pairs(centers, radii, box, rlist)
+        keep, mask = _exact_cluster_filter(sorted_pos, box, ci, cj, rlist)
+        assert np.array_equal(
+            keep, _oracle_exact_filter(sorted_pos, box, ci, cj, rlist)
+        )
+        assert len(mask) == len(ci)
+
+    def test_full_list_mirrors_masks(self, system):
+        half = build_pair_list(system, 0.5)
+        full = half.to_full()
+        r2 = _oracle_lane_r2(full, full.pair_ci, full.pair_cj)
+        want = r2 < (0.5 + MASK_PAD) ** 2
+        assert np.array_equal(unpack_lanes(full.lane_mask), want)
+        # A mirrored pair's mask is the transpose of its half-list pair's.
+        n = full.n_clusters
+        half_mask = dict(
+            zip((half.pair_ci.astype(np.int64) * n + half.pair_cj).tolist(),
+                half.lane_mask.tolist())
+        )
+        for ci, cj, m in zip(full.pair_ci.tolist(), full.pair_cj.tolist(),
+                             full.lane_mask.tolist()):
+            if ci <= cj:
+                assert m == half_mask[ci * n + cj]
+            else:
+                bits = unpack_lanes(np.array([half_mask[cj * n + ci]]))
+                t = pack_lanes(bits.reshape(1, 4, 4).transpose(0, 2, 1).reshape(1, 16))
+                assert m == int(t[0])
+
+    def test_pack_roundtrip(self):
+        rng = np.random.default_rng(3)
+        bits = rng.random((500, 16)) < 0.5
+        mask = pack_lanes(bits)
+        assert mask.dtype == np.uint16
+        want = (bits * (1 << np.arange(16))).sum(axis=1)
+        assert np.array_equal(mask, want)
+        assert np.array_equal(unpack_lanes(mask), bits)
+
+    def test_no_mask_without_exact_filter(self):
+        system = build_water_system(600, seed=2019)
+        plist = build_pair_list(system, 0.5, exact_filter=False)
+        assert plist.lane_mask is None
+        assert plist.to_full().lane_mask is None

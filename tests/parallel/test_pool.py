@@ -290,14 +290,11 @@ class TestSerialPoolBitIdentity:
         assert _events_key(trace_a) == _events_key(trace_b)
 
     def test_strategy_sweep_identical(self, water_600, nb_75, plist_600, pool2):
-        serial = run_strategy_sweep(
-            water_600, plist_600, nb_75, ["CACHE", "VEC", "MARK"],
-            backend=SerialBackend(),
-        )
-        pooled = run_strategy_sweep(
-            water_600, plist_600, nb_75, ["CACHE", "VEC", "MARK"],
-            backend=pool2,
-        )
+        # The sweep runs in-process on any backend; in a worker process
+        # (as on a serve lane) it gives the parent's results.
+        task = (water_600, plist_600, nb_75, ("CACHE", "VEC", "MARK"))
+        serial = _sweep(task)
+        (pooled,) = pool2.map(_sweep, [task])
         assert list(serial) == list(pooled)
         for label in serial:
             np.testing.assert_array_equal(
@@ -330,7 +327,10 @@ class TestSerialPoolBitIdentity:
         pooled = pairlist._exact_cluster_filter(
             sorted_pos, box, ci, cj, nb_75.r_list, backend=pool2
         )
-        np.testing.assert_array_equal(serial, pooled)
+        # (keep, lane mask), each concatenated in candidate order.
+        for want, got in zip(serial, pooled):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(want, got)
 
     def test_exact_filter_splits_by_worker_count(
         self, water_600, nb_75, monkeypatch
@@ -394,6 +394,11 @@ class TestSerialPoolBitIdentity:
         # Rank 1's CPE events landed on shifted tracks.
         cpe_tracks = {e.cpe_id for e in trace_a.events if e.cpe_id >= 0}
         assert any(t >= config.chip.n_cpes for t in cpe_tracks)
+
+
+def _sweep(task):
+    system, plist, nb, specs = task
+    return run_strategy_sweep(system, plist, nb, list(specs))
 
 
 def _exact_filter_inputs(system, n_candidates):
